@@ -6,22 +6,13 @@ constants bounding the density, and the negative-Pell enumeration of n
 with smooth n^2 + 1.
 """
 
-from .arith import (RootSet, SequenceSpec, is_prime, p_plus, primes_upto,
-                    roots_of_term_mod_p, sqrt_mod, term, validate_b)
-from .constants import (bounds, compute_all, conjectural_sigma, solve_alpha_beta,
-                        solve_sigma, solve_theta)
+from .arith import validate_b
+from .constants import compute_all
 from .errors import (CapExceededError, Error, NegativeSquareError,
                      NonConvergenceError, NotPrimeError, OutOfDomainError,
                      PreconditionViolatedError, WindowOutOfRangeError)
-from .primitive import (CensusReport, DensityReport, PrimitiveStatus,
-                        classify_definitional, classify_range, non_primitive_census,
-                        primitive_status_definitional, primitive_status_fast, rho)
-from .sieve import (SieveConfig, TermFactorization, p_plus_of, sieve_primes,
-                    sieve_range)
-from .stats import (ChebyshevReport, NxHistogram, chebyshev_report,
-                    chowla_todd_density, mertens_sum, nx_histogram, vx)
-from .stormer import (PellEquation, PellSolution, SmoothResult, allowed_primes,
-                      enumerate_D, is_smooth, negative_pell_fundamental,
-                      pell_solutions_odd, stormer_search)
+from .primitive import non_primitive_census, rho
+from .stats import chebyshev_report, chowla_todd_density, mertens_sum, nx_histogram
+from .stormer import stormer_search
 
 __version__ = "0.1.0"

@@ -104,23 +104,30 @@ def _tonelli(a: int, p: int) -> int:
     return x
 
 
+def _roots_mod_p(a: int, p: int) -> tuple:
+    """Square roots of a modulo a prime p, ascending: (), (r,) or (r, p - r).
+
+    Euler's criterion rules out non-residues; p = 2 and a == 0 (mod p)
+    have the single root a mod p.  Primality of p is the caller's promise.
+    """
+    a %= p
+    if p == 2 or a == 0:
+        return (a,)
+    if pow(a, (p - 1) // 2, p) != 1:
+        return ()
+    r = _tonelli(a, p)
+    return (min(r, p - r), max(r, p - r))
+
+
 def sqrt_mod(a: int, p: int) -> set:
-    """All square roots of a modulo an odd prime p.
+    """All square roots of a modulo a prime p.
 
     Returns the empty set when a is a non-residue, {0} when a == 0,
     and {r, p - r} otherwise.
     """
-    if __debug__ and not is_prime(p):
+    if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    a %= p
-    if p == 2:
-        return {a}
-    if a == 0:
-        return {0}
-    if pow(a, (p - 1) // 2, p) != 1:
-        return set()
-    r = _tonelli(a, p)
-    return {r, p - r}
+    return set(_roots_mod_p(a, p))
 
 
 @dataclass(frozen=True)
@@ -133,15 +140,7 @@ class RootSet:
 
 def roots_of_term_mod_p(spec: SequenceSpec, p: int) -> RootSet:
     """Solutions of n^2 + b == 0 (mod p); the single root -b mod 2 for p = 2."""
-    if p == 2:
-        return RootSet(2, ((-spec.b) % 2,))
-    a = (-spec.b) % p
-    if a == 0:
-        return RootSet(p, (0,))
-    if pow(a, (p - 1) // 2, p) != 1:
-        return RootSet(p, ())
-    r = _tonelli(a, p)
-    return RootSet(p, (min(r, p - r), max(r, p - r)))
+    return RootSet(p, _roots_mod_p(-spec.b, p))
 
 
 def primes_upto(n: int) -> list:

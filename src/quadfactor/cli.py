@@ -18,6 +18,7 @@ significant digits, so identical runs diff clean.  Exit codes: 0 ok,
 """
 
 import argparse
+import io
 import json
 import math
 import os
@@ -166,7 +167,7 @@ def _cmd_density(args) -> str:
                            "ratio": rep.checkpoints[-1][2],
                            "checkpoints": rep.checkpoints}) + "\n"
     series = [(float(x), ratio) for x, _, ratio in rep.checkpoints]
-    return render_svg(series, reference=math.log(2.0),
+    return render_svg(series, reference=constants.LOG2,
                       title=f"density of terms with a primitive divisor, b={args.b}",
                       ylabel="rho/x")
 
@@ -230,7 +231,7 @@ def _cmd_chowla_todd(args) -> str:
         return _csv(rows, ["x", "count", "ratio"])
     return json.dumps({"x": args.x,
                        "rows": [{"x": a, "count": b, "ratio": c} for a, b, c in rows],
-                       "log2": math.log(2.0)}) + "\n"
+                       "log2": constants.LOG2}) + "\n"
 
 
 def _cmd_mertens(args) -> str:
@@ -256,11 +257,9 @@ def _cmd_stormer(args) -> str:
 def _cmd_sieve(args) -> str:
     spec = arith.validate_b(args.b)
     cfg = sieve.SieveConfig(1, args.x + 1, segment_size=args.segment_size)
-    lines = ["n,sign,factors,cofactor"]
-    for tf in sieve.sieve_range(spec, cfg, threads=_threads(args)):
-        fs = " ".join(f"{p}^{e}" for p, e in tf.factors)
-        lines.append(f"{tf.n},{tf.sign},{fs},{tf.cofactor}")
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    sieve.write_csv(sieve.sieve_range(spec, cfg, threads=_threads(args)), buf)
+    return buf.getvalue()
 
 
 _DISPATCH = {

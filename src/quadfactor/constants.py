@@ -129,13 +129,20 @@ def solve_theta() -> Tuple[float, List[float]]:
     return root, seq
 
 
-def bounds() -> Tuple[float, float]:
-    """(lower, upper) = (2 theta - 3, 2 sigma - 3/2); checked against
+def _bounds(theta: float, sigma: float) -> Tuple[float, float]:
+    """(lower, upper) = (2 theta - 3, 2 sigma - 3/2), checked against
     the published decimals 0.5324 and 0.905."""
-    lower = 2.0 * solve_theta()[0] - 3.0
-    upper = 2.0 * solve_sigma() - 1.5
-    assert lower > 0.5324 and upper < 0.905
+    lower = 2.0 * theta - 3.0
+    upper = 2.0 * sigma - 1.5
+    if not (lower > 0.5324 and upper < 0.905):
+        raise NonConvergenceError(
+            f"bounds ({lower}, {upper}) miss the published (0.5324, 0.905)")
     return lower, upper
+
+
+def bounds() -> Tuple[float, float]:
+    """The density bounds (2 theta - 3, 2 sigma - 3/2)."""
+    return _bounds(solve_theta()[0], solve_sigma())
 
 
 def solve_alpha_beta() -> Tuple[float, float]:
@@ -209,8 +216,7 @@ def compute_all() -> AnalyticConstants:
     sigma = solve_sigma()
     theta, seq = solve_theta()
     alpha, beta = solve_alpha_beta()
-    lower = 2.0 * theta - 3.0
-    upper = 2.0 * sigma - 1.5
+    lower, upper = _bounds(theta, sigma)
     residuals = {
         "sigma_equation": _sigma_f(sigma),
         "theta_equation": _theta_f(theta),

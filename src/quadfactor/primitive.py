@@ -45,28 +45,21 @@ class CensusReport:
     count: int
 
 
-def _term_primes(tf: TermFactorization):
-    for p, _ in tf.factors:
-        yield p
+def _term_primes(tf: TermFactorization) -> list:
+    ps = [p for p, _ in tf.factors]
     if tf.cofactor > 1:
-        yield tf.cofactor
+        ps.append(tf.cofactor)
+    return ps
 
 
-def primitive_status_definitional(spec: SequenceSpec, n: int,
-                                  history: Sequence[TermFactorization]) -> PrimitiveStatus:
-    """Classify by direct comparison against the factorizations of P_1..P_{n-1}.
+def _new_prime_status(n: int, primes: list, seen: set) -> PrimitiveStatus:
+    """Classify P_n by its primes against those of earlier terms in seen.
 
-    Oracle path: factors the term itself and collects every prime seen
-    earlier, so cost grows with n.  Works for all n, including n <= |b|
-    where more than one new prime can appear (the largest is reported
-    and `multiple` is set).
+    The largest new prime is reported, and `multiple` is set when there
+    is more than one.  seen is then extended by P_n's primes.
     """
-    seen = set()
-    for tf in history:
-        if tf.n < n:
-            seen.update(_term_primes(tf))
-    av = abs(arith.term(spec, n))
-    new = [p for p, _ in arith.factorize(av) if p not in seen] if av > 1 else []
+    new = [p for p in primes if p not in seen]
+    seen.update(primes)
     if not new:
         return PrimitiveStatus(n, False)
     return PrimitiveStatus(n, True, max(new), len(new) > 1)
@@ -88,16 +81,8 @@ def classify_definitional(spec: SequenceSpec, x: int) -> Iterator[PrimitiveStatu
     seen = set()
     for n in range(1, x + 1):
         av = abs(arith.term(spec, n))
-        if av <= 1:
-            yield PrimitiveStatus(n, False)
-            continue
-        fac = arith.factorize(av)
-        new = [p for p, _ in fac if p not in seen]
-        seen.update(p for p, _ in fac)
-        if new:
-            yield PrimitiveStatus(n, True, max(new), len(new) > 1)
-        else:
-            yield PrimitiveStatus(n, False)
+        primes = [p for p, _ in arith.factorize(av)] if av > 1 else []
+        yield _new_prime_status(n, primes, seen)
 
 
 def classify_range(spec: SequenceSpec, x: int, *, segment_size: int = sieve.DEFAULT_SEGMENT,
@@ -112,39 +97,24 @@ def classify_range(spec: SequenceSpec, x: int, *, segment_size: int = sieve.DEFA
     seen = set()
     for tf in sieve.sieve_range(spec, cfg, threads=threads):
         if tf.n <= cut:
-            new = [p for p in _term_primes(tf) if p not in seen]
-            seen.update(_term_primes(tf))
-            if new:
-                yield PrimitiveStatus(tf.n, True, max(new), len(new) > 1)
-            else:
-                yield PrimitiveStatus(tf.n, False)
+            yield _new_prime_status(tf.n, _term_primes(tf), seen)
         else:
-            pp = tf.cofactor if tf.cofactor > 1 else (tf.factors[-1][0] if tf.factors else 0)
-            if pp > 2 * tf.n:
-                yield PrimitiveStatus(tf.n, True, pp)
-            else:
-                yield PrimitiveStatus(tf.n, False)
+            yield primitive_status_fast(spec, tf)
 
 
 def rho(spec: SequenceSpec, x: int, checkpoints: Optional[Sequence[int]] = None, *,
-        segment_size: int = sieve.DEFAULT_SEGMENT, threads: int = 1,
-        method: str = "auto") -> DensityReport:
+        segment_size: int = sieve.DEFAULT_SEGMENT, threads: int = 1) -> DensityReport:
     """Count terms with a primitive divisor up to x, with running ratios.
 
     checkpoints is an ascending sequence of positions <= x at which
     (x_i, rho(x_i), rho(x_i)/x_i) rows are recorded; default just x.
-    method "auto" uses the mixed definitional/fast path, "definitional"
-    forces the oracle scan (for cross-checks at small x).
     """
     if x < 1:
         raise PreconditionViolatedError("x must be >= 1")
     marks = sorted({m for m in checkpoints if 1 <= m <= x}) if checkpoints else [x]
     if not marks or marks[-1] != x:
         marks.append(x)
-    if method == "definitional":
-        stream = classify_definitional(spec, x)
-    else:
-        stream = classify_range(spec, x, segment_size=segment_size, threads=threads)
+    stream = classify_range(spec, x, segment_size=segment_size, threads=threads)
     rows = []
     count = 0
     mi = 0

@@ -78,20 +78,12 @@ def sieve_primes(spec: SequenceSpec, limit: int) -> list:
     """
     if limit < 2:
         raise OutOfDomainError("limit must be >= 2")
-    b = spec.b
+    a = -spec.b
     out = []
     for p in arith.primes_upto(limit):
-        if p == 2:
-            out.append(RootSet(2, ((-b) % 2,)))
-            continue
-        a = (-b) % p
-        if a == 0:
-            out.append(RootSet(p, (0,)))
-            continue
-        if pow(a, (p - 1) // 2, p) != 1:
-            continue
-        r = arith._tonelli(a, p)
-        out.append(RootSet(p, (min(r, p - r), max(r, p - r))))
+        roots = arith._roots_mod_p(a, p)
+        if roots:
+            out.append(RootSet(p, roots))
     return out
 
 

@@ -23,8 +23,6 @@ from .arith import SequenceSpec
 from .errors import OutOfDomainError, PreconditionViolatedError, WindowOutOfRangeError
 from .sieve import SieveConfig
 
-LOG2 = math.log(2.0)
-
 
 class _Kahan:
     """Compensated accumulator; deterministic for a fixed add order."""

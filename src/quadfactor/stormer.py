@@ -35,12 +35,6 @@ _BITS_PER_DIGIT = 3.3219280948873626  # log2(10)
 
 
 @dataclass(frozen=True)
-class PellEquation:
-    D: int
-    allowed_primes: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class PellSolution:
     D: int
     k: int  # odd solution index, 1 = fundamental
@@ -138,18 +132,6 @@ def pell_solutions_odd(D: int, fundamental: Tuple[int, int], k_max: int,
         out.append(PellSolution(D, k, x, y))
         x, y = x * s + y * t * D, x * t + y * s
     return out
-
-
-def is_smooth(m: int, B: int) -> bool:
-    """True when every prime factor of m is < B (m >= 1; 1 is smooth)."""
-    if m < 1:
-        raise PreconditionViolatedError("m must be >= 1")
-    for p in arith.primes_upto(B - 1):
-        while m % p == 0:
-            m //= p
-        if m == 1:
-            return True
-    return m == 1
 
 
 def _reduce_by(m: int, primes) -> int:

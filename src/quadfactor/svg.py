@@ -73,13 +73,3 @@ def render_svg(series: Sequence[Tuple[float, float]],
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def emit_svg(series: Sequence[Tuple[float, float]], reference: Optional[float],
-             path: str, title: str = "", ylabel: str = "") -> None:
-    """Write the chart to path; I/O errors carry the path in their message."""
-    text = render_svg(series, reference, title, ylabel)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write SVG to {path}: {exc}") from exc

@@ -65,6 +65,13 @@ def cheb(spec1):
 
 
 @pytest.fixture(scope="session")
+def chowla_1e7():
+    t0 = time.time()
+    count, ratio = stats.chowla_todd_density(10 ** 7)
+    return count, ratio, time.time() - t0
+
+
+@pytest.fixture(scope="session")
 def nx_hists(spec1):
     return {x: stats.nx_histogram(spec1, x, threads=1) for x in (10 ** 4, 10 ** 5)}
 
@@ -176,15 +183,15 @@ def test_criterion_6_nx_bounds(spec1, nx_hists):
                             f"V_x(2x) log(2x)/x = {V * math.log(2e5) / 1e5:.4f}")
 
 
-def test_criterion_7_chowla_todd_counts_and_trend():
+def test_criterion_7_chowla_todd_counts_and_trend(chowla_1e7):
     t0 = time.time()
     assert stats.chowla_todd_density(10)[0] == 2
     diffs = {}
     for x in (10 ** 5, 10 ** 6, 10 ** 7):
-        count, ratio = stats.chowla_todd_density(x)
+        count, ratio = chowla_1e7[:2] if x == 10 ** 7 else stats.chowla_todd_density(x)
         assert count == CHOWLA_COUNTS[x]
         diffs[x] = abs(ratio - LOG2)
-    dt = time.time() - t0
+    dt = time.time() - t0 + chowla_1e7[2]  # the 10^7 count is timed in the fixture
     assert diffs[10 ** 7] < diffs[10 ** 6] < diffs[10 ** 5]
     assert dt < 120.0
     assert _report(7, True, f"count(10)=2; |ratio - log 2| improves "
@@ -192,7 +199,7 @@ def test_criterion_7_chowla_todd_counts_and_trend():
                             f"{dt:.1f}s (< 120s)")
 
 
-def test_criterion_7_ratio_tolerance_at_1e7(small_primes):
+def test_criterion_7_ratio_tolerance_at_1e7(small_primes, chowla_1e7):
     """Chowla-Todd at x = 10^7: exact count and a theorem-backed band.
 
     A fixed tolerance around log 2 cannot hold here: the deficit
@@ -217,7 +224,7 @@ def test_criterion_7_ratio_tolerance_at_1e7(small_primes):
         counted exactly in small_primes.
     """
     x = 10 ** 7
-    count, ratio = stats.chowla_todd_density(x)
+    count, ratio, _ = chowla_1e7
     ident = naive_chowla_todd_count(x)
 
     s_max = math.isqrt((x - 1) // 4)  # largest s with 4 s^2 < x

@@ -137,18 +137,6 @@ def test_nx_json_uses_symbol_keys(capsys):
     assert d["counts"]["13"] == 2
 
 
-def test_emit_svg_writes_file_and_reports_path(tmp_path):
-    from quadfactor.svg import emit_svg
-    target = tmp_path / "chart.svg"
-    emit_svg([(1.0, 0.6), (2.0, 0.7)], math.log(2.0), str(target))
-    text = target.read_text()
-    assert text.startswith("<svg") and "<polyline" in text
-    bad = tmp_path / "no" / "such" / "dir" / "x.svg"
-    with pytest.raises(OSError) as exc:
-        emit_svg([(1.0, 0.6)], None, str(bad))
-    assert "x.svg" in str(exc.value)
-
-
 def test_svg_renderer_contract():
     svg = render_svg([(1.0, 0.5), (2.0, 0.7)], reference=math.log(2.0))
     assert svg.count("<circle") == 2

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from quadfactor import constants
+from quadfactor.errors import NonConvergenceError
 
 
 def test_sigma_value_and_residual():
@@ -42,6 +43,11 @@ def test_bounds():
     assert 0.5324 < lower < 0.5325
     assert 0.9049 < upper < 0.905
     assert 0.0 < 1.0 - upper + lower < 1.0
+    assert constants.compute_all().lower_bound == lower
+    with pytest.raises(NonConvergenceError):
+        constants._bounds(1.76, 1.2)  # lower 0.52 misses 0.5324
+    with pytest.raises(NonConvergenceError):
+        constants._bounds(1.77, 1.21)  # upper 0.92 misses 0.905
 
 
 def test_alpha_beta_values_and_identities():

@@ -15,15 +15,12 @@ def _history(b, upto):
 
 
 def test_definitional_hand_examples():
-    b1 = arith.validate_b(1)
-    hist = _history(1, 11)
-    assert not primitive.primitive_status_definitional(b1, 3, hist[:2]).has_primitive
-    st5 = primitive.primitive_status_definitional(b1, 5, hist[:4])
-    assert st5.has_primitive and st5.primitive_prime == 13
-    st1 = primitive.primitive_status_definitional(b1, 1, [])
-    assert st1.has_primitive and st1.primitive_prime == 2
-    bm2 = arith.validate_b(-2)
-    assert not primitive.primitive_status_definitional(bm2, 1, []).has_primitive
+    b1 = {st.n: st for st in primitive.classify_definitional(arith.validate_b(1), 5)}
+    assert not b1[3].has_primitive  # 10 = 2 * 5, both seen at n = 1, 2
+    assert b1[5].has_primitive and b1[5].primitive_prime == 13
+    assert b1[1].has_primitive and b1[1].primitive_prime == 2
+    bm2 = list(primitive.classify_definitional(arith.validate_b(-2), 1))
+    assert bm2 == [primitive.PrimitiveStatus(1, False)]  # |1 - 2| = 1
 
 
 def test_fast_hand_examples():
@@ -90,12 +87,16 @@ def test_uniqueness_beyond_b():
 
 
 def test_rho_methods_agree():
+    marks = list(range(100, 2001, 100))
     for b in B_POOL:
         spec = arith.validate_b(b)
-        marks = list(range(100, 2001, 100))
-        auto = primitive.rho(spec, 2000, marks)
-        oracle = primitive.rho(spec, 2000, marks, method="definitional")
-        assert auto.checkpoints == oracle.checkpoints, b
+        oracle = []
+        count = 0
+        for st in primitive.classify_definitional(spec, 2000):
+            count += st.has_primitive
+            if st.n in marks:
+                oracle.append((st.n, count, count / st.n))
+        assert primitive.rho(spec, 2000, marks).checkpoints == oracle, b
 
 
 def test_density_report_shape():

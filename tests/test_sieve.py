@@ -27,6 +27,19 @@ def test_sieve_primes_examples():
     assert sieve.sieve_primes(bm2, 10)[1].roots == (3, 4)
 
 
+def test_sieve_primes_are_the_nonempty_root_sets(monkeypatch):
+    # the prime list is trusted, so no primality test runs per prime
+    def no_is_prime(m):
+        raise AssertionError("sieve_primes called is_prime")
+    for b in B_POOL + (15, -73600):
+        spec = arith.validate_b(b)
+        want = [arith.roots_of_term_mod_p(spec, p) for p in arith.primes_upto(500)]
+        with monkeypatch.context() as m:
+            m.setattr(arith, "is_prime", no_is_prime)
+            got = sieve.sieve_primes(spec, 500)
+        assert got == [rs for rs in want if rs.roots], b
+
+
 def test_sieve_range_hand_examples():
     rows = {tf.n: tf for tf in _run(1, 1, 11, prime_limit=22)}
     assert rows[7].factors == ((2, 1), (5, 2)) and rows[7].cofactor == 1

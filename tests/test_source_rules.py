@@ -1,0 +1,32 @@
+"""Checks that must hold under `python -O`, and a guard that keeps them so."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import quadfactor
+
+SRC = Path(quadfactor.__file__).parent
+
+
+def test_sqrt_mod_rejects_composite_modulus_under_O():
+    code = ("from quadfactor import arith, errors\n"
+            "try:\n"
+            "    arith.sqrt_mod(4, 15)\n"
+            "except errors.NotPrimeError:\n"
+            "    print('raised')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         cwd=SRC.parent, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised\n"
+
+
+def test_no_assert_or_debug_in_package():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Assert) or (isinstance(node, ast.Name)
+                                                and node.id == "__debug__"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -87,14 +87,6 @@ def test_chain_matches_direct_powers():
             assert x_next == pair_power(fund[0], fund[1], D, sol.k + 2)[0]
 
 
-def test_is_smooth():
-    assert stormer.is_smooth(50, 6)
-    assert not stormer.is_smooth(325, 6)
-    assert stormer.is_smooth(1, 3)
-    assert stormer.is_smooth(2 ** 40, 3)
-    assert not stormer.is_smooth(2 ** 40 * 3, 3)
-
-
 def test_stormer_search_expected_sets():
     assert stormer.stormer_search(3).solutions == [1]
     assert stormer.stormer_search(6).solutions == [1, 2, 3, 7]
@@ -116,9 +108,10 @@ def test_every_solution_verifies_smooth_and_reconstructs():
     res = stormer.stormer_search(14)
     Ds = set(stormer.enumerate_D(14))
     for n in res.solutions:
-        assert stormer.is_smooth(n * n + 1, 14)
+        fac = naive_factorize(n * n + 1)
+        assert all(p < 14 for p, _ in fac), n
         sqfree = 1
-        for p, e in naive_factorize(n * n + 1):
+        for p, e in fac:
             if e % 2 == 1:
                 sqfree *= p
         assert sqfree in Ds, n
@@ -136,4 +129,4 @@ def test_stormer_B101_reproduces_published_maximum():
     res = stormer.stormer_search(101)
     assert res.max_n == 24208144
     assert len(res.solutions) == 156
-    assert stormer.is_smooth(24208144 ** 2 + 1, 101)
+    assert naive_factorize(24208144 ** 2 + 1)[-1][0] < 101
