@@ -78,10 +78,13 @@ def _add_common(p, *, b=False, x=False, checkpoints=False, fmt=None):
     if checkpoints:
         p.add_argument("--checkpoints", type=int, default=1,
                        help="number of evenly spaced checkpoint rows (default 1)")
-    p.add_argument("--segment-size", type=int, default=sieve.DEFAULT_SEGMENT,
-                   help="sieve segment length")
+    if b:  # the subcommands that take b are the ones that sieve n^2 + b
+        p.add_argument("--segment-size", type=int, default=sieve.DEFAULT_SEGMENT,
+                       help="sieve segment length")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default ${THREADS_ENV} or 1)")
+                   help=f"accepted for compatibility, like ${THREADS_ENV}; the "
+                        "computation is single-threaded and output is the same "
+                        "for every value")
     if fmt:
         p.add_argument("--format", choices=fmt, default=fmt[0], help="output format")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -141,23 +144,21 @@ def build_parser() -> _Parser:
     return ap
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
+def _check_threads(args) -> None:
+    """Reject a malformed $QFL_THREADS when --threads is absent; the value is unused."""
     env = os.environ.get(THREADS_ENV)
-    if env:
+    if args.threads is None and env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise _UsageError(f"bad {THREADS_ENV} value: {env!r}")
-    return 1
 
 
 def _cmd_density(args) -> str:
     spec = arith.validate_b(args.b)
     marks = _checkpoint_grid(args.x, args.checkpoints)
-    rep = primitive.rho(spec, args.x, marks, segment_size=args.segment_size,
-                        threads=_threads(args))
+    _check_threads(args)
+    rep = primitive.rho(spec, args.x, marks, segment_size=args.segment_size)
     if args.format == "csv":
         return _csv([[x, r, ratio] for x, r, ratio in rep.checkpoints],
                     ["x", "rho", "ratio"])
@@ -174,8 +175,8 @@ def _cmd_density(args) -> str:
 
 def _cmd_census(args) -> str:
     spec = arith.validate_b(args.b)
-    rep = primitive.non_primitive_census(spec, args.x, segment_size=args.segment_size,
-                                         threads=_threads(args))
+    _check_threads(args)
+    rep = primitive.non_primitive_census(spec, args.x, segment_size=args.segment_size)
     if args.format == "csv":
         return _csv([[n] for n in rep.non_primitive], ["n"])
     return json.dumps({"b": args.b, "x": args.x, "count": rep.count,
@@ -184,8 +185,8 @@ def _cmd_census(args) -> str:
 
 def _cmd_chebyshev(args) -> str:
     spec = arith.validate_b(args.b)
-    r = stats.chebyshev_report(spec, args.x, args.K, segment_size=args.segment_size,
-                               threads=_threads(args))
+    _check_threads(args)
+    r = stats.chebyshev_report(spec, args.x, args.K, segment_size=args.segment_size)
     if args.format == "csv":
         return _csv([[r.x, r.K, r.log_Qx, r.sum_S, r.sum_Sprime,
                       r.s, r.s_prime, r.t, r.u]],
@@ -197,8 +198,8 @@ def _cmd_chebyshev(args) -> str:
 
 def _cmd_nx(args) -> str:
     spec = arith.validate_b(args.b)
-    hist = stats.nx_histogram(spec, args.x, segment_size=args.segment_size,
-                              threads=_threads(args))
+    _check_threads(args)
+    hist = stats.nx_histogram(spec, args.x, segment_size=args.segment_size)
     if args.windows:
         rows = []
         v = 2.0 * args.x
@@ -220,13 +221,9 @@ def _cmd_nx(args) -> str:
 
 
 def _cmd_chowla_todd(args) -> str:
-    marks = _checkpoint_grid(args.x, args.checkpoints)
-    rows = []
-    for m in marks:
-        if m < 2:
-            continue
-        c, ratio = stats.chowla_todd_density(m)
-        rows.append([m, c, ratio])
+    marks = [m for m in _checkpoint_grid(args.x, args.checkpoints) if m >= 2]
+    counts = stats._chowla_todd_counts(marks) if marks else []
+    rows = [[m, c, c / m] for m, c in zip(marks, counts)]
     if args.format == "csv":
         return _csv(rows, ["x", "count", "ratio"])
     return json.dumps({"x": args.x,
@@ -257,8 +254,9 @@ def _cmd_stormer(args) -> str:
 def _cmd_sieve(args) -> str:
     spec = arith.validate_b(args.b)
     cfg = sieve.SieveConfig(1, args.x + 1, segment_size=args.segment_size)
+    _check_threads(args)
     buf = io.StringIO()
-    sieve.write_csv(sieve.sieve_range(spec, cfg, threads=_threads(args)), buf)
+    sieve.write_csv(sieve.sieve_range(spec, cfg), buf)
     return buf.getvalue()
 
 

@@ -85,8 +85,8 @@ def classify_definitional(spec: SequenceSpec, x: int) -> Iterator[PrimitiveStatu
         yield _new_prime_status(n, primes, seen)
 
 
-def classify_range(spec: SequenceSpec, x: int, *, segment_size: int = sieve.DEFAULT_SEGMENT,
-                   threads: int = 1) -> Iterator[PrimitiveStatus]:
+def classify_range(spec: SequenceSpec, x: int, *,
+                   segment_size: int = sieve.DEFAULT_SEGMENT) -> Iterator[PrimitiveStatus]:
     """Classify n = 1..x: definitional while n <= |b|, fast criterion after.
 
     Single sieve pass with prime_limit 2(x+1); the seen-prime set is
@@ -95,7 +95,7 @@ def classify_range(spec: SequenceSpec, x: int, *, segment_size: int = sieve.DEFA
     cut = abs(spec.b)
     cfg = SieveConfig(1, x + 1, segment_size=segment_size)
     seen = set()
-    for tf in sieve.sieve_range(spec, cfg, threads=threads):
+    for tf in sieve.sieve_range(spec, cfg):
         if tf.n <= cut:
             yield _new_prime_status(tf.n, _term_primes(tf), seen)
         else:
@@ -103,7 +103,7 @@ def classify_range(spec: SequenceSpec, x: int, *, segment_size: int = sieve.DEFA
 
 
 def rho(spec: SequenceSpec, x: int, checkpoints: Optional[Sequence[int]] = None, *,
-        segment_size: int = sieve.DEFAULT_SEGMENT, threads: int = 1) -> DensityReport:
+        segment_size: int = sieve.DEFAULT_SEGMENT) -> DensityReport:
     """Count terms with a primitive divisor up to x, with running ratios.
 
     checkpoints is an ascending sequence of positions <= x at which
@@ -114,7 +114,7 @@ def rho(spec: SequenceSpec, x: int, checkpoints: Optional[Sequence[int]] = None,
     marks = sorted({m for m in checkpoints if 1 <= m <= x}) if checkpoints else [x]
     if not marks or marks[-1] != x:
         marks.append(x)
-    stream = classify_range(spec, x, segment_size=segment_size, threads=threads)
+    stream = classify_range(spec, x, segment_size=segment_size)
     rows = []
     count = 0
     mi = 0
@@ -128,9 +128,8 @@ def rho(spec: SequenceSpec, x: int, checkpoints: Optional[Sequence[int]] = None,
 
 
 def non_primitive_census(spec: SequenceSpec, x: int, *,
-                         segment_size: int = sieve.DEFAULT_SEGMENT,
-                         threads: int = 1) -> CensusReport:
+                         segment_size: int = sieve.DEFAULT_SEGMENT) -> CensusReport:
     """Indices n <= x whose term has no primitive divisor, with their count."""
-    idx = [st.n for st in classify_range(spec, x, segment_size=segment_size, threads=threads)
+    idx = [st.n for st in classify_range(spec, x, segment_size=segment_size)
            if not st.has_primitive]
     return CensusReport(spec, x, idx, len(idx))

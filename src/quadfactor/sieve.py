@@ -13,13 +13,10 @@ factored by the oracle instead).  Smaller limits are allowed, e.g. for
 smoothness scans, in which case the cofactor is merely a product of
 primes above the limit.
 
-Segments are independent, stateless work units: per-segment hit offsets
-are recomputed by modular arithmetic, so output is identical for any
-segment size and any degree of parallelism.
+Segments are stateless: per-segment hit offsets are recomputed by
+modular arithmetic, so output is identical for any segment size.
 """
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -134,40 +131,13 @@ def _sieve_segment(b: int, lo: int, hi: int, pairs: list, oracle_cut: int) -> li
     return out
 
 
-def sieve_range(spec: SequenceSpec, cfg: SieveConfig, threads: int = 1) -> Iterator[TermFactorization]:
-    """Stream one TermFactorization per n in [lo, hi), ascending.
-
-    Segments may be processed by a worker pool; results are merged in
-    segment order so the stream is deterministic for any thread count.
-    """
+def sieve_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[TermFactorization]:
+    """Stream one TermFactorization per n in [lo, hi), ascending, segment by segment."""
     b = spec.b
     pairs = _flatten(sieve_primes(spec, cfg.prime_limit))
     oracle_cut = arith.isqrt(abs(b) // 3)
-
-    segments = [(s, min(s + cfg.segment_size, cfg.hi))
-                for s in range(cfg.lo, cfg.hi, cfg.segment_size)]
-
-    if threads <= 1:
-        for slo, shi in segments:
-            yield from _sieve_segment(b, slo, shi, pairs, oracle_cut)
-        return
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        it = iter(segments)
-        pending = deque()
-
-        def _refill():
-            while len(pending) < threads + 2:
-                seg = next(it, None)
-                if seg is None:
-                    return
-                pending.append(ex.submit(_sieve_segment, b, seg[0], seg[1], pairs, oracle_cut))
-
-        _refill()
-        while pending:
-            fut = pending.popleft()
-            _refill()
-            yield from fut.result()
+    for slo in range(cfg.lo, cfg.hi, cfg.segment_size):
+        yield from _sieve_segment(b, slo, min(slo + cfg.segment_size, cfg.hi), pairs, oracle_cut)
 
 
 def p_plus_of(tf: TermFactorization) -> int:

@@ -16,7 +16,7 @@ reciprocals of the primes below x.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import arith, sieve
 from .arith import SequenceSpec
@@ -70,8 +70,7 @@ def _split_cofactor(c: int, limit: int):
 
 
 def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0, *,
-                     segment_size: int = sieve.DEFAULT_SEGMENT,
-                     threads: int = 1) -> ChebyshevReport:
+                     segment_size: int = sieve.DEFAULT_SEGMENT) -> ChebyshevReport:
     """Aggregate the exact prime decomposition of Q_x = prod_{n<=x} |n^2 + b|."""
     if x < 2:
         raise PreconditionViolatedError("x must be >= 2")
@@ -81,7 +80,7 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0, *,
     cfg = SieveConfig(1, x + 1, prime_limit=limit, segment_size=segment_size)
     exps: Dict[int, int] = {}
     log_q = _Kahan()
-    for tf in sieve.sieve_range(spec, cfg, threads=threads):
+    for tf in sieve.sieve_range(spec, cfg):
         av = abs(tf.n * tf.n + spec.b)
         if av > 1:
             log_q.add(math.log(av))
@@ -113,8 +112,7 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0, *,
 
 
 def nx_histogram(spec: SequenceSpec, x: int, *,
-                 segment_size: int = sieve.DEFAULT_SEGMENT,
-                 threads: int = 1) -> NxHistogram:
+                 segment_size: int = sieve.DEFAULT_SEGMENT) -> NxHistogram:
     """Count n in [x, 2x) divisible by each prime p >= 2x.
 
     Sieving with prime_limit 2x leaves exactly those primes in the
@@ -126,7 +124,7 @@ def nx_histogram(spec: SequenceSpec, x: int, *,
     limit = 2 * x
     cfg = SieveConfig(x, 2 * x, prime_limit=limit, segment_size=segment_size)
     counts: Dict[int, int] = {}
-    for tf in sieve.sieve_range(spec, cfg, threads=threads):
+    for tf in sieve.sieve_range(spec, cfg):
         hit = set()
         for p, _ in tf.factors:
             if p >= limit:  # oracle-zone terms can carry large primes in factors
@@ -143,49 +141,61 @@ def nx_histogram(spec: SequenceSpec, x: int, *,
 
 
 def vx(spec: SequenceSpec, x: int, v: float, *,
-       hist: Optional[NxHistogram] = None, threads: int = 1) -> int:
+       hist: Optional[NxHistogram] = None) -> int:
     """Sum of N_x(p) over primes p in the window (v, e*v]; needs v >= 2x."""
     if v < 2 * x:
         raise WindowOutOfRangeError(f"window start {v} below 2x = {2 * x}")
     if hist is None:
-        hist = nx_histogram(spec, x, threads=threads)
+        hist = nx_histogram(spec, x)
     hi = math.e * v
     return sum(c for p, c in hist.counts.items() if v < p <= hi)
 
 
 def chowla_todd_density(x: int, *, segment_size: int = 1 << 20) -> Tuple[int, float]:
-    """Count 2 <= m <= x with P+(m)^2 > 4m, and the ratio count/x.
+    """Count 2 <= m <= x with P+(m)^2 > 4m, and the ratio count/x."""
+    if x < 2:
+        raise PreconditionViolatedError("x must be >= 2")
+    count = _chowla_todd_counts([x], segment_size)[0]
+    return count, count / x
 
-    Segmented largest-prime-factor sieve: per segment, divide every
-    entry by the primes up to sqrt(x) (all powers), tracking the
+
+def _chowla_todd_counts(marks: List[int], segment_size: int = 1 << 20) -> List[int]:
+    """Running counts of 2 <= m <= mark with P+(m)^2 > 4m at each ascending mark.
+
+    One segmented largest-prime-factor sieve up to the last mark, with a
+    segment boundary after every mark: per segment, divide every entry
+    by the primes up to sqrt(marks[-1]) (all powers), tracking the
     largest small prime that hit; a leftover above 1 is the greatest
     prime factor, otherwise the tracked small prime is.
     """
-    if x < 2:
-        raise PreconditionViolatedError("x must be >= 2")
-    ps = arith.primes_upto(arith.isqrt(x))
+    ps = arith.primes_upto(arith.isqrt(marks[-1]))
+    counts = []
     count = 0
-    for lo in range(2, x + 1, segment_size):
-        hi = min(lo + segment_size, x + 1)
-        length = hi - lo
-        rem = list(range(lo, hi))
-        best = [1] * length
-        for p in ps:
-            start = (-lo) % p
-            best[start::p] = [p] * len(range(start, length, p))
-            pk = p
-            while pk < hi:
-                s2 = (-lo) % pk
-                rem[s2::pk] = [v // p for v in rem[s2::pk]]
-                pk *= p
-        m = lo
-        for i in range(length):
-            r = rem[i]
-            q = r if r > 1 else best[i]
-            if q * q > 4 * m:
-                count += 1
-            m += 1
-    return count, count / x
+    lo = 2
+    for mark in marks:
+        while lo <= mark:
+            hi = min(lo + segment_size, mark + 1)
+            length = hi - lo
+            rem = list(range(lo, hi))
+            best = [1] * length
+            for p in ps:
+                start = (-lo) % p
+                best[start::p] = [p] * len(range(start, length, p))
+                pk = p
+                while pk < hi:
+                    s2 = (-lo) % pk
+                    rem[s2::pk] = [v // p for v in rem[s2::pk]]
+                    pk *= p
+            m = lo
+            for i in range(length):
+                r = rem[i]
+                q = r if r > 1 else best[i]
+                if q * q > 4 * m:
+                    count += 1
+                m += 1
+            lo = hi
+        counts.append(count)
+    return counts
 
 
 def mertens_sum(x: int) -> float:

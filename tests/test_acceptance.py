@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s`.  The expensive reports
 (rho and the Chebyshev split at x = 10^6, the N_x histograms) are built
 once in session fixtures and shared; the determinism criterion rebuilds
-them at 16 threads and byte-compares the rendered CSV.
+them at a prime segment size (99991, so segment boundaries fall away from
+the default 2^16) and byte-compares the rendered CSV.
 
 Pinned regression numbers, where no comment names another source, were
 produced by this implementation's first oracle run and are asserted to
@@ -52,7 +53,7 @@ def spec1():
 def rho_1e6(spec1):
     marks = [i * 10 ** 5 for i in range(1, 11)]
     t0 = time.time()
-    rep = primitive.rho(spec1, 10 ** 6, marks, threads=1)
+    rep = primitive.rho(spec1, 10 ** 6, marks)
     return rep, time.time() - t0
 
 
@@ -60,7 +61,7 @@ def rho_1e6(spec1):
 def cheb(spec1):
     out = {}
     for x in (10 ** 5, 10 ** 6):
-        out[x] = stats.chebyshev_report(spec1, x, 4.0, threads=1)
+        out[x] = stats.chebyshev_report(spec1, x, 4.0)
     return out
 
 
@@ -73,7 +74,7 @@ def chowla_1e7():
 
 @pytest.fixture(scope="session")
 def nx_hists(spec1):
-    return {x: stats.nx_histogram(spec1, x, threads=1) for x in (10 ** 4, 10 ** 5)}
+    return {x: stats.nx_histogram(spec1, x) for x in (10 ** 4, 10 ** 5)}
 
 
 def test_criterion_1_fast_definitional_equivalence():
@@ -267,22 +268,23 @@ def test_criterion_8_slow_B101():
 
 def test_criterion_9_parallel_determinism(spec1, rho_1e6, cheb, nx_hists):
     marks = [i * 10 ** 5 for i in range(1, 11)]
-    rho16 = primitive.rho(spec1, 10 ** 6, marks, threads=16)
+    seg = 99991  # prime, so segment boundaries differ from the default 2^16
+    rho_seg = primitive.rho(spec1, 10 ** 6, marks, segment_size=seg)
     header = ["x", "rho", "ratio"]
     a = _csv([list(r) for r in rho_1e6[0].checkpoints], header).encode()
-    b = _csv([list(r) for r in rho16.checkpoints], header).encode()
+    b = _csv([list(r) for r in rho_seg.checkpoints], header).encode()
     assert a == b
 
-    c16 = stats.chebyshev_report(spec1, 10 ** 6, 4.0, threads=16)
+    c_seg = stats.chebyshev_report(spec1, 10 ** 6, 4.0, segment_size=seg)
     hdr = ["x", "K", "log_Qx", "sum_S", "sum_Sprime", "s", "sprime", "t", "u"]
     row = lambda r: [r.x, r.K, r.log_Qx, r.sum_S, r.sum_Sprime, r.s, r.s_prime, r.t, r.u]
-    assert _csv([row(cheb[10 ** 6])], hdr).encode() == _csv([row(c16)], hdr).encode()
+    assert _csv([row(cheb[10 ** 6])], hdr).encode() == _csv([row(c_seg)], hdr).encode()
 
-    n16 = stats.nx_histogram(spec1, 10 ** 5, threads=16)
+    n_seg = stats.nx_histogram(spec1, 10 ** 5, segment_size=seg)
     render = lambda h: _csv([[p, h.counts[p]] for p in sorted(h.counts)], ["p", "count"]).encode()
-    assert render(nx_hists[10 ** 5]) == render(n16)
+    assert render(nx_hists[10 ** 5]) == render(n_seg)
     assert _report(9, True, "rho(1e6), chebyshev(1e6), nx(1e5) CSVs byte-identical "
-                            "at 1 and 16 threads")
+                            f"at segment sizes 2^16 and {seg}")
 
 
 def test_criterion_10_property_suites():

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from quadfactor import cli
+from quadfactor import arith, cli, stats
 from quadfactor.errors import PreconditionViolatedError
 from quadfactor.svg import render_svg
 
@@ -70,6 +70,29 @@ def test_chowla_and_mertens(capsys):
     code, out, _ = run(capsys, "mertens", "--x", "10", "--format", "json")
     d = json.loads(out)
     assert d["sum"] == pytest.approx(1.176190476190, rel=1e-9)
+
+
+def test_chowla_todd_checkpoints_in_one_pass(capsys, monkeypatch):
+    calls = []
+    primes_upto = arith.primes_upto
+    monkeypatch.setattr(arith, "primes_upto", lambda n: calls.append(n) or primes_upto(n))
+    code, out, _ = run(capsys, "chowla-todd", "--x", "3000", "--checkpoints", "7")
+    assert code == 0 and len(calls) == 1
+    monkeypatch.undo()
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(m) for m, _, _ in rows] == [429, 857, 1286, 1714, 2143, 2571, 3000]
+    for m, count, ratio in rows:
+        c, r = stats.chowla_todd_density(int(m))
+        assert [count, ratio] == [str(c), cli._fnum(r)]
+
+
+def test_segment_size_only_on_sieving_subcommands(capsys):
+    for argv in (["chowla-todd", "--x", "100"], ["mertens", "--x", "100"]):
+        code, _, err = run(capsys, *argv, "--segment-size", "7")
+        assert code == 1 and "--segment-size" in err
+    for sub in ("density", "census", "chebyshev", "nx", "sieve"):
+        code, _, _ = run(capsys, sub, "--b", "1", "--x", "20", "--segment-size", "7")
+        assert code == 0
 
 
 def test_constants_json(capsys):

