@@ -15,10 +15,26 @@ primes above the limit.
 
 Segments are stateless: per-segment hit offsets are recomputed by
 modular arithmetic, so output is identical for any segment size.
+
+Two kernels share the root sets of sieve_primes:
+
+* sieve_range streams one TermFactorization per n, dividing each hit
+  in a loop; the primitive-divisor classifier and the raw dump use it.
+* slice_range, for the aggregate statistics, builds no per-term
+  record.  Each root mod p of an odd p not dividing b is lifted by
+  Hensel's lemma to the root mod p^k for every p^k up to the largest
+  |n^2 + b|; p^k divides n^2 + b exactly when n is congruent to one of
+  these roots, so one strided slice division per (p^k, root) removes
+  exactly the exponent of p.  For p = 2 and p | b the roots mod p^k
+  can multiply, so those primes fall back to dividing each hit mod p
+  in a loop.  The exponent totals count the same divisions that
+  produce the cofactors, so |n^2 + b| = prod p^e * cofactor holds by
+  construction.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Tuple
 
 from . import arith
 from .arith import RootSet, SequenceSpec
@@ -138,6 +154,129 @@ def sieve_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[TermFactorizat
     oracle_cut = arith.isqrt(abs(b) // 3)
     for slo in range(cfg.lo, cfg.hi, cfg.segment_size):
         yield from _sieve_segment(b, slo, min(slo + cfg.segment_size, cfg.hi), pairs, oracle_cut)
+
+
+def lifted_roots(spec: SequenceSpec, limit: int, top: int) -> Tuple[list, list]:
+    """Roots of n^2 + b modulo prime powers, for the slice kernel.
+
+    Returns (lifted, fallback).  lifted holds (p, ((p^k, r), ...)) for
+    every odd sieve prime p <= limit with p not dividing b, listing each
+    root r mod p^k for every p^k <= top.  Such a p has the two roots
+    r, p - r, and each lifts to exactly one root mod p^(k+1) by Hensel's
+    lemma, r - (r^2 + b) / (2r) with the inverse taken mod p, because
+    the derivative 2r is a unit mod p; the roots mod p^k are r, p^k - r.
+    fallback holds (p, roots mod p) for p = 2 and the primes dividing b,
+    where roots mod p^k can multiply (b = 2^30 has 2^15 roots mod 2^30)
+    and are not lifted.
+    """
+    b = spec.b
+    lifted, fallback = [], []
+    for rs in sieve_primes(spec, limit):
+        p = rs.p
+        if p == 2 or b % p == 0:
+            fallback.append((p, rs.roots))
+            continue
+        levels = []
+        r = rs.roots[0]
+        u = pow(2 * r, -1, p)  # the roots mod p^k all reduce to r mod p
+        pk = p
+        while pk <= top:
+            levels += ((pk, r), (pk, pk - r))
+            pk *= p
+            r = (r - (r * r + b) * u) % pk
+        if levels:  # p > top divides no value in range
+            lifted.append((p, tuple(levels)))
+    return lifted, fallback
+
+
+def _slice_segment(b: int, lo: int, hi: int, strided: list, fallback: list,
+                   singles: list) -> tuple:
+    """Divide every sieve prime out of |n^2 + b| for n in [lo, hi).
+
+    Returns (vals, rem, exps): the values |n^2 + b|, what is left of them
+    (the cofactors) and {p: total exponent of p over the segment}, with
+    only primes that divide some value.  A strided root r mod p^k removes
+    one factor p from every n == r (mod p^k) in one strided slice, so an
+    n loses exactly as many factors p as p^k divide its value; a
+    fallback prime is divided out of each of its hits mod p in a loop.
+    singles holds the (n, p) of lifted roots whose modulus is too large
+    to recur within the range: each removes one factor p from n.
+    Every division is counted in exps, so vals[i] equals rem[i] times
+    the prime powers taken from it.
+    """
+    length = hi - lo
+    vals = [abs(n * n + b) for n in range(lo, hi)]
+    rem = vals[:]
+    exps = {}
+    for p, levels in strided:
+        e = 0
+        for pk, r in levels:
+            s = (r - lo) % pk
+            if s < length:
+                if s + pk < length:
+                    part = rem[s::pk]
+                    rem[s::pk] = [v // p for v in part]
+                    e += len(part)
+                else:
+                    rem[s] //= p
+                    e += 1
+        if e:
+            exps[p] = e
+    for p, roots in fallback:
+        e = 0
+        for r in roots:
+            for i in range((r - lo) % p, length, p):
+                v = rem[i]  # >= 1, since -b is not a square
+                while v % p == 0:
+                    v //= p
+                    e += 1
+                rem[i] = v
+        if e:
+            exps[p] = e
+    for n, p in singles:
+        rem[n - lo] //= p
+        exps[p] = exps.get(p, 0) + 1
+    return vals, rem, exps
+
+
+def _split_by_span(lifted: list, lo: int, hi: int) -> Tuple[list, list]:
+    """Separate the lifted roots that recur within [lo, hi) from those that cannot.
+
+    A modulus p^k >= hi - lo meets [lo, hi) at most once, so its root
+    becomes one (n, p) single, sorted by n; the rest stay strided.
+    """
+    span = hi - lo
+    strided, singles = [], []
+    for p, levels in lifted:
+        near = tuple(lv for lv in levels if lv[0] < span)
+        if near:
+            strided.append((p, near))
+        for pk, r in levels[len(near):]:  # levels ascend in p^k
+            n = lo + (r - lo) % pk
+            if n < hi:
+                singles.append((n, p))
+    singles.sort()
+    return strided, singles
+
+
+def slice_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
+    """Stream (vals, rem, exps) of _slice_segment per segment of [lo, hi), ascending.
+
+    The exact counterpart of sieve_range for callers that need only
+    exponent totals and cofactors: no per-term factor list is built.
+    Every prime <= prime_limit is divided out completely, so a cofactor
+    is a product of primes above the limit.
+    """
+    b, lo, hi = spec.b, cfg.lo, cfg.hi
+    lifted, fallback = lifted_roots(spec, cfg.prime_limit, (hi - 1) ** 2 + abs(b))
+    strided, singles = _split_by_span(lifted, lo, hi)
+    del lifted  # the segments need only the split copies
+    j = 0
+    for slo in range(lo, hi, cfg.segment_size):
+        shi = min(slo + cfg.segment_size, hi)
+        k = bisect_left(singles, (shi,), j)
+        yield _slice_segment(b, slo, shi, strided, fallback, singles[j:k])
+        j = k
 
 
 def p_plus_of(tf: TermFactorization) -> int:

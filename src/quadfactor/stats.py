@@ -9,6 +9,14 @@ sum_S + sum_S' equals log Q_x up to float rounding.
 nx_histogram() counts, for n in [x, 2x), how many terms each prime
 p >= 2x divides; vx() sums those counts over a window (v, e*v].
 
+Both run on sieve.slice_range, which yields per segment the values
+|n^2 + b|, their cofactors above 2x and the exponent total of every
+prime up to 2x, without a per-term factor list.  The totals and the
+cofactors come from the same exact divisions (Hensel-lifted slices,
+with a per-hit loop for p = 2 and the primes dividing b), so every
+prime of Q_x is counted with its full exponent; a cofactor is split
+into primes by arith only when it exceeds (2x)^2.
+
 chowla_todd_density() counts m <= x whose greatest prime factor exceeds
 2*sqrt(m) (natural density log 2), and mertens_sum() accumulates the
 reciprocals of the primes below x.
@@ -38,6 +46,16 @@ class _Kahan:
         t = self.total + y
         self._c = (t - self.total) - y
         self.total = t
+
+    def extend(self, vs) -> None:
+        """add() each value in order, with the running state in locals."""
+        total, c = self.total, self._c
+        for v in vs:
+            y = v - c
+            t = total + y
+            c = (t - total) - y
+            total = t
+        self.total, self._c = total, c
 
 
 @dataclass(frozen=True)
@@ -80,15 +98,14 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0, *,
     cfg = SieveConfig(1, x + 1, prime_limit=limit, segment_size=segment_size)
     exps: Dict[int, int] = {}
     log_q = _Kahan()
-    for tf in sieve.sieve_range(spec, cfg):
-        av = abs(tf.n * tf.n + spec.b)
-        if av > 1:
-            log_q.add(math.log(av))
-        for p, e in tf.factors:
+    for vals, rem, seg_exps in sieve.slice_range(spec, cfg):
+        log_q.extend([math.log(av) for av in vals if av > 1])
+        for p, e in seg_exps.items():
             exps[p] = exps.get(p, 0) + e
-        if tf.cofactor > 1:
-            for p, e in _split_cofactor(tf.cofactor, limit):
-                exps[p] = exps.get(p, 0) + e
+        for c in rem:
+            if c > 1:
+                for p, e in _split_cofactor(c, limit):
+                    exps[p] = exps.get(p, 0) + e
 
     bound = 2 * x
     kx = K * x
@@ -124,16 +141,11 @@ def nx_histogram(spec: SequenceSpec, x: int, *,
     limit = 2 * x
     cfg = SieveConfig(x, 2 * x, prime_limit=limit, segment_size=segment_size)
     counts: Dict[int, int] = {}
-    for tf in sieve.sieve_range(spec, cfg):
-        hit = set()
-        for p, _ in tf.factors:
-            if p >= limit:  # oracle-zone terms can carry large primes in factors
-                hit.add(p)
-        if tf.cofactor > 1:
-            for p, _ in _split_cofactor(tf.cofactor, limit):
-                hit.add(p)
-        for p in hit:
-            counts[p] = counts.get(p, 0) + 1
+    for _, rem, _ in sieve.slice_range(spec, cfg):
+        for c in rem:
+            if c > 1:
+                for p, _ in _split_cofactor(c, limit):
+                    counts[p] = counts.get(p, 0) + 1
     weighted = _Kahan()
     for p in sorted(counts):
         weighted.add(counts[p] * math.log(p))
@@ -151,7 +163,8 @@ def vx(spec: SequenceSpec, x: int, v: float, *,
     return sum(c for p, c in hist.counts.items() if v < p <= hi)
 
 
-def chowla_todd_density(x: int, *, segment_size: int = 1 << 20) -> Tuple[int, float]:
+def chowla_todd_density(x: int, *,
+                        segment_size: int = sieve.DEFAULT_SEGMENT) -> Tuple[int, float]:
     """Count 2 <= m <= x with P+(m)^2 > 4m, and the ratio count/x."""
     if x < 2:
         raise PreconditionViolatedError("x must be >= 2")
@@ -159,7 +172,8 @@ def chowla_todd_density(x: int, *, segment_size: int = 1 << 20) -> Tuple[int, fl
     return count, count / x
 
 
-def _chowla_todd_counts(marks: List[int], segment_size: int = 1 << 20) -> List[int]:
+def _chowla_todd_counts(marks: List[int],
+                        segment_size: int = sieve.DEFAULT_SEGMENT) -> List[int]:
     """Running counts of 2 <= m <= mark with P+(m)^2 > 4m at each ascending mark.
 
     One segmented largest-prime-factor sieve up to the last mark, with a

@@ -1,10 +1,12 @@
+import math
+
 import pytest
 
 from quadfactor import arith, primitive, sieve
 from quadfactor.errors import PreconditionViolatedError
 from quadfactor.sieve import SieveConfig
 
-from conftest import naive_prime_set
+from conftest import naive_is_prime, naive_p_plus, naive_prime_set
 
 B_POOL = (1, 2, 3, 5, 7, -2, -3)
 
@@ -76,6 +78,27 @@ def test_fast_agrees_with_definitional():
             d, f = defs[n], fast[n]
             assert d.has_primitive == f.has_primitive, (b, n)
             assert d.primitive_prime == f.primitive_prime, (b, n)
+
+
+def test_first_hit_lemma():
+    # A prime p is new at n exactly when n is the least positive root of
+    # m^2 + b == 0 (mod p).  For p | P_n that holds when p > 2n (the other
+    # root p - n is larger), when n = 1, or when p = n divides b (the root
+    # 0 first shows at m = p).  Otherwise a smaller positive root exists:
+    # n - p when p < n, and p - n when n < p <= 2n (p = 2n forces n = 1).
+    # So P_n has a primitive divisor exactly as below, for every n,
+    # including n <= |b|.
+    for b in range(-60, 61):
+        if b <= 0 and math.isqrt(-b) ** 2 == -b:
+            continue
+        spec = arith.validate_b(b)
+        for st in primitive.classify_definitional(spec, 2 * abs(b) + 60):
+            n = st.n
+            av = abs(n * n + b)
+            lemma = ((av > 1 and naive_p_plus(av) > 2 * n)
+                     or (n == 1 and av > 1)
+                     or (naive_is_prime(n) and b % n == 0))
+            assert st.has_primitive == lemma, (b, n)
 
 
 def test_uniqueness_beyond_b():

@@ -7,9 +7,11 @@ from quadfactor import arith, sieve
 from quadfactor.errors import CapExceededError, OutOfDomainError
 from quadfactor.sieve import SieveConfig
 
-from conftest import naive_p_plus
+from conftest import naive_is_prime, naive_p_plus
 
 B_POOL = (1, 2, 3, 5, 7, -2, -3)
+# p = 2, primes dividing b, and p^2 | b (12, -72, 45, 2^10 * 3)
+LIFT_POOL = (1, -2, 12, -72, 45, 2 ** 10 * 3, -1155)
 
 
 def _run(b, lo, hi, **kw):
@@ -135,3 +137,72 @@ def test_csv_dump_format():
     assert lines[0] == "n,sign,factors,cofactor"
     assert lines[7] == "7,1,2^1 5^2,1"
     assert lines[6] == "6,1,,37"
+
+
+def _roots_mod_powers(b, p, top):
+    """{p^k: {r < p^k : p^k | r^2 + b}} for every p^k <= top, by exhaustive search.
+
+    Level k tries the p candidates r + j p^(k-1) of each root r of level
+    k - 1; they contain every root mod p^k, since p^k | m implies
+    p^(k-1) | m.
+    """
+    out = {}
+    roots, pk = [0], 1
+    while pk * p <= top:
+        nxt = pk * p
+        roots = [s for r in roots for s in range(r, nxt, pk) if (s * s + b) % nxt == 0]
+        out[nxt] = set(roots)
+        pk = nxt
+    return out
+
+
+def _fallback_hits(b, p, roots, top):
+    """{p^k: residues mod p^k of the n whose value the fallback divides by p^k}.
+
+    Runs the slice kernel with p as its only prime over n in [1, P], P
+    the largest power p^k <= top, which covers every residue mod p^k.
+    """
+    big = p
+    while big * p <= top:
+        big *= p
+    hits = {}
+    for lo in range(1, big + 1, 1 << 16):
+        hi = min(lo + (1 << 16), big + 1)
+        vals, rem, exps = sieve._slice_segment(b, lo, hi, [], [(p, roots)], [])
+        removed = 0
+        for i in range(hi - lo):
+            q, c = divmod(vals[i], rem[i])
+            assert c == 0
+            pk = p
+            while q % p == 0:
+                q //= p
+                removed += 1
+                if pk <= big:
+                    hits.setdefault(pk, set()).add((lo + i) % pk)
+                pk *= p
+            assert q == 1, (b, p, lo + i)  # only p was divided out
+        assert exps.get(p, 0) == removed
+    return hits
+
+
+def test_lifted_roots_and_fallback_hits_match_brute_force():
+    top = 10 ** 6
+    small = [p for p in range(2, 51) if naive_is_prime(p)]
+    for b in LIFT_POOL:
+        spec = arith.validate_b(b)
+        lifted, fallback = sieve.lifted_roots(spec, 50, top)
+        table = dict(lifted)
+        fall = dict(fallback)
+        assert set(fall) == {p for p in small if p == 2 or b % p == 0}, b
+        for p in small:
+            want = _roots_mod_powers(b, p, top)
+            if p in table:
+                got = {}
+                for pk, r in table[p]:
+                    got.setdefault(pk, set()).add(r)
+                assert got == want, (b, p)
+            elif p in fall:
+                want = {pk: rs for pk, rs in want.items() if rs}
+                assert _fallback_hits(b, p, fall[p], top) == want, (b, p)
+            else:
+                assert not any(want.values()), (b, p)

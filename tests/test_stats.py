@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -7,8 +8,12 @@ from quadfactor.errors import (OutOfDomainError, PreconditionViolatedError,
                                WindowOutOfRangeError)
 from quadfactor.sieve import SieveConfig
 
-from conftest import (li, naive_chowla_todd_count, naive_p_plus, naive_prime_flags,
-                      naive_prime_pi)
+from conftest import (li, naive_chowla_todd_count, naive_factorize, naive_p_plus,
+                      naive_prime_flags, naive_prime_pi)
+
+# p = 2 and p | b, p^2 | b, b < 0 with negative terms; -73600 puts every
+# n <= 156 in the sieve's oracle zone (3n^2 <= |b|)
+ORACLE_POOL = (1, -2, 2, 12, -72, 15, -73600)
 
 
 def test_chebyshev_small_oracle():
@@ -87,6 +92,42 @@ def test_nx_against_direct_scan():
     assert dict(hist.counts) == direct
 
 
+def test_chebyshev_and_nx_match_naive_factorization():
+    for b in ORACLE_POOL:
+        spec = arith.validate_b(b)
+        fac = {n: naive_factorize(abs(n * n + b)) for n in range(1, 1200)}
+        for x in (2, 5, 77, 156, 600):
+            exps = {}
+            for n in range(1, x + 1):
+                for p, e in fac[n]:
+                    exps[p] = exps.get(p, 0) + e
+            log_q = math.fsum(math.log(abs(n * n + b)) for n in range(1, x + 1)
+                              if abs(n * n + b) > 1)
+            S = [p for p in exps if p < 2 * x]
+            Sp = [p for p in exps if p >= 2 * x]
+            sum_s = math.fsum(exps[p] * math.log(p) for p in S)
+            sum_sp = math.fsum(exps[p] * math.log(p) for p in Sp)
+            counts = {}
+            for n in range(x, 2 * x):
+                for p, _ in fac[n]:
+                    if p >= 2 * x:
+                        counts[p] = counts.get(p, 0) + 1
+            weighted = math.fsum(c * math.log(p) for p, c in counts.items())
+            for seg in (97, sieve.DEFAULT_SEGMENT):
+                for K in (2.5, 4.0):
+                    rep = stats.chebyshev_report(spec, x, K, segment_size=seg)
+                    t = sum(1 for p in Sp if p < K * x)
+                    assert (rep.s, rep.s_prime, rep.t, rep.u) == (len(S), len(Sp), t,
+                                                                  len(Sp) - t), (b, x, K)
+                    for got, want in ((rep.log_Qx, log_q), (rep.sum_S, sum_s),
+                                      (rep.sum_Sprime, sum_sp)):
+                        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (b, x, K)
+                hist = stats.nx_histogram(spec, x, segment_size=seg)
+                assert hist.counts == counts, (b, x)
+                assert hist.total == sum(counts.values())
+                assert hist.weighted == pytest.approx(weighted, rel=1e-12, abs=1e-12)
+
+
 def test_vx_examples():
     spec = arith.validate_b(1)
     assert stats.vx(spec, 5, 10) == 2
@@ -111,6 +152,7 @@ def test_chowla_todd_hand_and_identity_oracle():
     x = 10 ** 5
     count, ratio = stats.chowla_todd_density(x)
     assert count == naive_chowla_todd_count(x) == 61466
+    assert stats.chowla_todd_density(x, segment_size=97)[0] == 61466
     assert abs(ratio - math.log(2)) < 0.08
 
 
@@ -125,6 +167,10 @@ def test_li_and_prime_pi_oracles():
 
 
 def test_chowla_todd_segmenting_invariance():
+    # one default segment length for every sieve: a 2^20-long segment costs
+    # memory and cache for no change in the count
+    for fn in (stats.chowla_todd_density, stats._chowla_todd_counts):
+        assert inspect.signature(fn).parameters["segment_size"].default == sieve.DEFAULT_SEGMENT
     full, _ = stats.chowla_todd_density(30000, segment_size=1 << 20)
     assert stats.chowla_todd_density(30000, segment_size=997)[0] == full
     assert stats.chowla_todd_density(30000, segment_size=1)[0] == full
