@@ -24,6 +24,7 @@ reciprocals of the primes below x.
 
 import math
 from dataclasses import dataclass
+from itertools import chain, groupby
 from typing import Dict, List, Optional, Tuple
 
 from . import arith, sieve
@@ -97,23 +98,33 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0, *,
     limit = 2 * x
     cfg = SieveConfig(1, x + 1, prime_limit=limit, segment_size=segment_size)
     exps: Dict[int, int] = {}
+    # Cofactor primes exceed the sieve limit 2x, so they sort after every
+    # key of exps; about 630k of them at x = 10^6, mostly with exponent 1,
+    # which a list of ints holds in far less memory than dict entries.
+    above: List[int] = []
+    single = limit * limit  # a cofactor up to this is one prime
     log_q = _Kahan()
     for vals, rem, seg_exps in sieve.slice_range(spec, cfg):
         log_q.extend([math.log(av) for av in vals if av > 1])
         for p, e in seg_exps.items():
             exps[p] = exps.get(p, 0) + e
         for c in rem:
-            if c > 1:
+            if c > single:
                 for p, e in _split_cofactor(c, limit):
-                    exps[p] = exps.get(p, 0) + e
+                    above.extend([p] * e)
+            elif c > 1:
+                above.append(c)
+    above.sort()
+    ascending = chain(sorted(exps.items()),
+                      ((p, len(list(run))) for p, run in groupby(above)))
 
     bound = 2 * x
     kx = K * x
     sum_s = _Kahan()
     sum_sp = _Kahan()
     s = s_prime = t = u = 0
-    for p in sorted(exps):
-        w = exps[p] * math.log(p)
+    for p, e in ascending:
+        w = e * math.log(p)
         if p < bound:
             sum_s.add(w)
             s += 1

@@ -1,12 +1,9 @@
 """Enumerate every n whose n^2 + 1 has all prime factors below a bound B.
 
 The reduction: only p = 2 and p == 1 (mod 4) can divide n^2 + 1, so a
-smooth n^2 + 1 factors as D * y^2 with D the squarefree part, a product
-of allowed primes.  Each candidate D turns the problem into the
-negative Pell equation n^2 - D y^2 = -1, whose solutions (if any) form
-the odd-index chain generated by the fundamental one.  Scanning every
-squarefree D built from the allowed primes and every odd index up to a
-cutoff therefore recovers all solutions.
+smooth n^2 + 1 is D y^2 with D a squarefree product of these allowed
+primes.  The solutions of n^2 - D y^2 = -1 form the odd-index chain of
+the fundamental one; every such D and odd index up to a cutoff give all n.
 
 The index cutoff K_max = max(13, next odd >= (B+1)/2) is a heuristic
 reconstruction: for real Lucas sequences every term beyond index 12
@@ -14,12 +11,19 @@ picks up a new prime factor, and y_k growing its prime support forces
 n^2 + 1 = D y_k^2 out of smoothness for the k in reach here.  It is
 exposed as an override.
 
-Fundamental solutions come from the continued fraction of sqrt(D): a
-negative-Pell solution exists exactly when the period is odd, and is
-then the convergent just before the period closes.  All arithmetic is
-exact over unbounded integers; a digit cap keeps pathologically large
-chains (composite D near the full prime product) from running away,
-and any D so truncated is reported.
+The fundamental solution needs half the continued-fraction period of
+sqrt(D), which is palindromic (Jacobson-Williams, Solving the Pell
+Equation, 2009).  With complete quotients (P_i + sqrt(D)) / Q_i and
+convergents p_i / q_i, P_{i+1} = P_i means an even period and no
+solution, and Q_{i+1} = Q_i the odd period 2i + 1 with x_1 = p_i q_i +
+p_{i-1} q_{i-1}, y_1 = q_i^2 + q_{i-1}^2 (D = a^2 + 1 gives (a, 1)).
+
+The prune: (x_1 + y_1 sqrt(D))^k = x_k + y_k sqrt(D) makes y_k the sum
+over odd j of C(k, j) x_1^(k-j) y_1^j D^((j-1)/2), so y_1 | y_k, and a
+y_1 with a prime factor >= B rules out the whole chain.  Arithmetic is
+exact; a digit cap bounds x_1 and the chain elements, and truncated_Ds
+lists the D whose search is incomplete: the convergents prove x_1 past
+the cap, or y_1 is B-smooth and the chain reaches the cap before K_max.
 """
 
 from dataclasses import dataclass
@@ -31,7 +35,6 @@ from . import arith
 from .errors import CapExceededError, PreconditionViolatedError
 
 DEFAULT_DIGIT_CAP = 10 ** 4
-_BITS_PER_DIGIT = 3.3219280948873626  # log2(10)
 
 
 @dataclass(frozen=True)
@@ -75,39 +78,36 @@ def enumerate_D(B: int) -> List[int]:
     return sorted(out)
 
 
-def _cf_fundamental(D: int, cap_bits: Optional[int]):
-    """((x1, y1) or None, truncated) from the continued fraction of sqrt(D).
+def _cap_bits(digit_cap: int) -> int:
+    return int(digit_cap * 3.3219280948873626) + 16  # log2(10) bits per digit
 
-    Standard (m, d, a) recurrence; d == 1 closes the period, and an odd
-    period length makes the preceding convergent solve x^2 - D y^2 = -1.
-    """
+
+def _cf_fundamental(D: int, cap_bits: Optional[int]):
+    """((x1, y1) or None, truncated); truncated once p_i q_i <= x1 exceeds cap_bits."""
     a0 = isqrt(D)
     if a0 * a0 == D:
         return None, False
-    m, d, a = 0, 1, a0
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    period = 0
+    P, Q, a = 0, 1, a0
+    p0, p1, q0, q1 = 1, a0, 0, 1  # p_{i-1}, p_i, q_{i-1}, q_i
     while True:
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (a0 + m) // d
-        period += 1
-        if d == 1:
-            return ((h, k) if period % 2 == 1 else None), False
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-        if cap_bits is not None and h.bit_length() > cap_bits:
+        P_next = a * Q - P
+        if P_next == P:
+            return None, False
+        Q_next = (D - P_next * P_next) // Q
+        if Q_next == Q:
+            return (p1 * q1 + p0 * q0, q1 * q1 + q0 * q0), False
+        P, Q, a = P_next, Q_next, (a0 + P_next) // Q_next
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        if cap_bits is not None and p1.bit_length() + q1.bit_length() - 1 > cap_bits:
             return None, True
 
 
 def negative_pell_fundamental(D: int, digit_cap: Optional[int] = None):
-    """Least positive solution of x^2 - D y^2 = -1, or None if unsolvable."""
+    """Least positive solution of x^2 - D y^2 = -1; None if unsolvable or past digit_cap."""
     if D < 2:
         raise PreconditionViolatedError("D must be >= 2")
-    cap_bits = None if digit_cap is None else int(digit_cap * _BITS_PER_DIGIT) + 16
-    sol, _ = _cf_fundamental(D, cap_bits)
-    return sol
+    return _cf_fundamental(D, None if digit_cap is None else _cap_bits(digit_cap))[0]
 
 
 def pell_solutions_odd(D: int, fundamental: Tuple[int, int], k_max: int,
@@ -121,7 +121,7 @@ def pell_solutions_odd(D: int, fundamental: Tuple[int, int], k_max: int,
     if k_max % 2 == 0:
         raise PreconditionViolatedError("k_max must be odd")
     x1, y1 = fundamental
-    cap_bits = int(digit_cap * _BITS_PER_DIGIT) + 16
+    cap_bits = _cap_bits(digit_cap)
     s = 2 * x1 * x1 + 1
     t = 2 * x1 * y1
     out = []
@@ -154,8 +154,8 @@ def stormer_search(B: int, k_max_override: Optional[int] = None,
                    digit_cap: int = DEFAULT_DIGIT_CAP) -> SmoothResult:
     """All n with every prime factor of n^2 + 1 below B.
 
-    Walks the negative-Pell chains of every admissible D, keeps the x_k
-    whose n^2 + 1 is verified smooth by exact factorization over the
+    Walks the negative-Pell chain of every admissible D whose y_1 is
+    B-smooth, keeps the x_k whose n^2 + 1 is verified smooth over the
     primes below B, and returns the sorted, deduplicated union.
     """
     k_max = k_max_override if k_max_override is not None else default_k_max(B)
@@ -163,8 +163,7 @@ def stormer_search(B: int, k_max_override: Optional[int] = None,
         k_max += 1
     allowed = allowed_primes(B)
     small = arith.primes_upto(B - 1)
-    cap_bits = int(digit_cap * _BITS_PER_DIGIT) + 16
-    expect = (k_max + 1) // 2
+    cap_bits = _cap_bits(digit_cap)
 
     found: Set[int] = set()
     truncated: List[int] = []
@@ -173,10 +172,10 @@ def stormer_search(B: int, k_max_override: Optional[int] = None,
         if trunc:
             truncated.append(D)
             continue
-        if fund is None:
+        if fund is None or _reduce_by(fund[1], allowed) != 1:
             continue
         chain = pell_solutions_odd(D, fund, k_max, digit_cap)
-        if len(chain) < expect:
+        if len(chain) < (k_max + 1) // 2:
             truncated.append(D)
         for sol in chain:
             # y_k smooth is necessary (n^2 + 1 = D y_k^2 with D smooth)

@@ -44,6 +44,41 @@ def naive_prime_set(m):
     return {p for p, _ in naive_factorize(m)} if m > 1 else set()
 
 
+def naive_is_smooth(m, B):
+    """True when every prime factor of m >= 1 is below B: trial division by
+    every integer below B leaves 1."""
+    for d in range(2, B):
+        while m % d == 0:
+            m //= d
+    return m == 1
+
+
+def naive_negative_pell(D):
+    """Least positive (x, y) with x^2 - D y^2 = -1, or None if there is none.
+
+    The plain continued fraction of sqrt(D) over its whole period: the
+    convergent just before the period closes solves the equation exactly
+    when the period is odd.
+    """
+    assert D >= 2
+    a0 = math.isqrt(D)
+    if a0 * a0 == D:
+        return None
+    m, d, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    period = 0
+    while True:
+        m = d * a - m
+        d = (D - m * m) // d
+        a = (a0 + m) // d
+        period += 1
+        if d == 1:
+            return (h, k) if period % 2 == 1 else None
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+
+
 def naive_prime_flags(n):
     """Sieve of Eratosthenes: flags[k] == 1 exactly when k <= n is prime."""
     assert n >= 1

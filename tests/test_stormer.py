@@ -3,7 +3,7 @@ import pytest
 from quadfactor import arith, stormer
 from quadfactor.errors import CapExceededError, PreconditionViolatedError
 
-from conftest import naive_factorize
+from conftest import naive_factorize, naive_is_smooth, naive_negative_pell
 
 
 def smooth_square_plus_one_scan(B, limit):
@@ -64,6 +64,69 @@ def test_negative_pell_fundamentals():
     assert stormer.negative_pell_fundamental(34) is None  # even period
     x, y = stormer.negative_pell_fundamental(29)
     assert x * x - 29 * y * y == -1
+
+
+@pytest.fixture(scope="module")
+def pell_oracle():
+    """Full-period fundamentals for every 2 <= D < 3000 (squares, even
+    periods, every a^2 + 1 up to 54^2 + 1) and every D of B = 74."""
+    return {D: naive_negative_pell(D)
+            for D in sorted(set(range(2, 3000)) | set(stormer.enumerate_D(74)))}
+
+
+def test_negative_pell_matches_full_period_oracle(pell_oracle):
+    for D, want in pell_oracle.items():
+        assert stormer.negative_pell_fundamental(D) == want, D
+
+
+@pytest.mark.parametrize("digit_cap", [1, 3, 10])
+def test_digit_cap_flags_only_fundamentals_past_the_cap(pell_oracle, digit_cap):
+    cap_bits = stormer._cap_bits(digit_cap)
+    flagged_solvable = 0
+    for D, want in pell_oracle.items():
+        got, flagged = stormer._cf_fundamental(D, cap_bits)
+        assert stormer.negative_pell_fundamental(D, digit_cap) == got, D
+        if flagged:
+            # An even period has no x_1; an odd one has x_1 >= p_i q_i.
+            assert got is None, D
+            assert want is None or want[0].bit_length() > cap_bits, D
+            flagged_solvable += want is not None
+        else:
+            assert got == want, D
+    assert flagged_solvable > 0
+
+
+def test_prune_walks_only_chains_with_smooth_y1(monkeypatch):
+    B = 42
+    walked = []
+    walk = stormer.pell_solutions_odd
+
+    def recording(D, fundamental, k_max, digit_cap=stormer.DEFAULT_DIGIT_CAP):
+        chain = walk(D, fundamental, k_max, digit_cap)
+        walked.append((D, fundamental, k_max, chain))
+        return chain
+
+    monkeypatch.setattr(stormer, "pell_solutions_odd", recording)
+    oracle = {D: naive_negative_pell(D) for D in stormer.enumerate_D(B)}
+    smooth_y1 = [D for D, f in oracle.items() if f is not None and naive_is_smooth(f[1], B)]
+    res = stormer.stormer_search(B)
+    assert [D for D, _, _, _ in walked] == smooth_y1
+    assert res.truncated_Ds == []
+    for D, (x1, y1), _, chain in walked:
+        assert (x1, y1) == oracle[D]
+        for sol in chain:
+            assert sol.y % y1 == 0, (D, sol.k)
+
+    # Under a tight cap a D is truncated only when its expansion stopped
+    # with x_1 (if any) past the cap, or its chain stops before k_max.
+    walked.clear()
+    cap_bits = stormer._cap_bits(3)
+    res = stormer.stormer_search(B, digit_cap=3)
+    assert {D for D, _, _, _ in walked} <= set(smooth_y1)
+    short = {D for D, _, k_max, chain in walked if len(chain) < (k_max + 1) // 2}
+    assert res.truncated_Ds
+    for D in res.truncated_Ds:
+        assert D in short or oracle[D] is None or oracle[D][0].bit_length() > cap_bits, D
 
 
 def test_pell_chain_examples():
