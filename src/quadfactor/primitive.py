@@ -2,25 +2,42 @@
 
 A term P_n = n^2 + b has a primitive divisor when some d > 1 divides it
 while being coprime to every earlier nonzero term; equivalently, when
-P_n carries a prime that no earlier term does.  Two classifiers are
-provided:
+P_n carries a prime that no earlier term does.
 
-* the definitional one, which scans all earlier prime factors, and
-* the fast one, valid for n > |b|: a primitive divisor exists exactly
-  when the greatest prime factor of n^2 + b exceeds 2n, and it is then
-  that prime (and unique).
+By the first-hit lemma a prime p is new at n exactly when n is the least
+positive root of m^2 + b == 0 (mod p).  For p = 2 that root is 1 or 2,
+for a prime p dividing b it is p, and any other p has the two roots
+n < p - n, so a new p exceeds 2n.  One self-sieving kernel, valid for
+every n (including n <= |b|), scans n = 1..x in ascending segments and
+divides out of |P_n| every prime whose least root lies below n: what is
+left at n is exactly the product of the primes new at n.  The primes are
+found as the scan reaches them, so no prime table and no modular square
+root is computed:
 
-rho() counts classified terms up to x, using the definitional path for
-the finitely many n <= |b| and the fast path beyond.
+* 2 and the primes of b (one factorization of |b|) are known from the
+  start and divided out of each of their hits in a loop; they are new
+  only at their least root.
+* Any other prime q left over at n registers its roots n and q - n,
+  lifted by Hensel's lemma to every q^k <= x^2 + |b|.  A modulus below
+  the segment length becomes one strided slice division per segment; a
+  larger one waits in the bucket of the segment where it next hits
+  (Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014).  A prime
+  with q - n > x never recurs in range and is not registered.
+* Once 3n^2 > |b|, |P_n| < 4n^2, so the leftover is 1 or a single prime
+  above 2n.  Below that (the oracle zone) it is factored by arith.
+
+classify_definitional() is the independent oracle: it factors every
+term and keeps the set of primes seen so far.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import arith, sieve
 from .arith import SequenceSpec
 from .errors import PreconditionViolatedError
-from .sieve import SieveConfig, TermFactorization
+from .sieve import SieveConfig, _hensel_levels
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,13 +62,6 @@ class CensusReport:
     count: int
 
 
-def _term_primes(tf: TermFactorization) -> list:
-    ps = [p for p, _ in tf.factors]
-    if tf.cofactor > 1:
-        ps.append(tf.cofactor)
-    return ps
-
-
 def _new_prime_status(n: int, primes: list, seen: set) -> PrimitiveStatus:
     """Classify P_n by its primes against those of earlier terms in seen.
 
@@ -65,17 +75,6 @@ def _new_prime_status(n: int, primes: list, seen: set) -> PrimitiveStatus:
     return PrimitiveStatus(n, True, max(new), len(new) > 1)
 
 
-def primitive_status_fast(spec: SequenceSpec, tf: TermFactorization) -> PrimitiveStatus:
-    """Classify via the greatest-prime-factor criterion; needs n > |b|."""
-    if tf.n <= abs(spec.b):
-        raise PreconditionViolatedError(
-            f"fast criterion needs n > |b|, got n = {tf.n}, b = {spec.b}")
-    pp = sieve.p_plus_of(tf)
-    if pp > 2 * tf.n:
-        return PrimitiveStatus(tf.n, True, pp)
-    return PrimitiveStatus(tf.n, False)
-
-
 def classify_definitional(spec: SequenceSpec, x: int) -> Iterator[PrimitiveStatus]:
     """Definitional scan of n = 1..x with an incrementally grown prime set."""
     seen = set()
@@ -85,21 +84,101 @@ def classify_definitional(spec: SequenceSpec, x: int) -> Iterator[PrimitiveStatu
         yield _new_prime_status(n, primes, seen)
 
 
+def _first_hits(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
+    """Stream (lo, new, split) per segment [lo, hi) of cfg = [1, x + 1).
+
+    new[i] is the product of the primes new at n = lo + i, so 1 exactly
+    when P_n has no primitive divisor (in the oracle zone a new prime
+    may appear with its exponent).  split maps the n at which new[i] is
+    not itself the one new prime to the list of those primes: oracle-zone
+    n and the least roots of 2 and of the primes of b.
+    """
+    b, x, size = spec.b, cfg.hi - 1, cfg.segment_size
+    top = x * x + abs(b)  # no |P_n| with n <= x exceeds this
+    cut = arith.isqrt(abs(b) // 3)  # the oracle zone is n <= cut
+    roots = {2: b % 2}  # fallback prime -> its root mod p
+    roots.update((p, 0) for p, _ in arith.factorize(abs(b)) if p <= x)
+    first = {r or p: p for p, r in roots.items() if (r or p) <= x}  # least root -> p
+    strided = []  # (p^k, root, p) with p^k below the segment length
+    buckets = {}  # segment start -> [(next hit, p^k, p), ...]
+
+    def register(q, n):
+        """Divide q out of every later term: its hits after n, per power."""
+        for pk, r in _hensel_levels(q, n, b, top):
+            m = r if r > n else r + pk  # every root of q^k is >= n
+            if m > x:
+                continue
+            if pk < size:
+                if m < hi:
+                    rem[m - lo::pk] = [v // q for v in rem[m - lo::pk]]
+                strided.append((pk, r, q))
+                continue
+            if m < hi:  # pk >= size: at most one hit per segment
+                rem[m - lo] //= q
+                m += pk
+                if m > x:
+                    continue
+            buckets.setdefault(m - (m - 1) % size, []).append((m, pk, q))
+
+    for lo in range(1, x + 1, size):
+        hi = min(lo + size, x + 1)
+        if lo * lo + b < 0:
+            rem = [abs(n * n + b) for n in range(lo, hi)]
+        else:
+            rem = [n * n + b for n in range(lo, hi)]
+        for pk, r, q in strided:
+            s = (r - lo) % pk
+            rem[s::pk] = [v // q for v in rem[s::pk]]
+        for m, pk, q in buckets.pop(lo, ()):
+            rem[m - lo] //= q
+            m += pk
+            if m <= x:
+                buckets.setdefault(m - (m - 1) % size, []).append((m, pk, q))
+        for p, r in roots.items():
+            for i in range((r - lo) % p, hi - lo, p):
+                v = rem[i] // p  # p divides every term at its root
+                while v % p == 0:
+                    v //= p
+                rem[i] = v
+
+        split = {}
+        for n in range(lo, min(hi, cut + 1)):
+            v = rem[n - lo]
+            if v > 1:
+                split[n] = qs = [q for q, _ in arith.factorize(v)]
+                for q in qs:
+                    if q - n <= x:
+                        register(q, n)
+        start = max(lo, cut + 1)
+        for n, v in enumerate(islice(rem, start - lo, None), start):
+            if 1 < v <= n + x:  # a new prime q with q - n <= x recurs in range
+                register(v, n)
+
+        for n, p in first.items():
+            if lo <= n < hi:
+                v = rem[n - lo]
+                split[n] = split.get(n, [v] if v > 1 else []) + [p]
+                rem[n - lo] = v * p
+        yield lo, rem, split
+
+
 def classify_range(spec: SequenceSpec, x: int, *,
                    segment_size: int = sieve.DEFAULT_SEGMENT) -> Iterator[PrimitiveStatus]:
-    """Classify n = 1..x: definitional while n <= |b|, fast criterion after.
+    """Classify n = 1..x by the first-hit kernel, one PrimitiveStatus per n."""
+    return _statuses(_first_hits(spec, SieveConfig(1, x + 1, segment_size=segment_size)))
 
-    Single sieve pass with prime_limit 2(x+1); the seen-prime set is
-    only maintained over the definitional prefix.
-    """
-    cut = abs(spec.b)
-    cfg = SieveConfig(1, x + 1, segment_size=segment_size)
-    seen = set()
-    for tf in sieve.sieve_range(spec, cfg):
-        if tf.n <= cut:
-            yield _new_prime_status(tf.n, _term_primes(tf), seen)
-        else:
-            yield primitive_status_fast(spec, tf)
+
+def _statuses(segments) -> Iterator[PrimitiveStatus]:
+    """One PrimitiveStatus per n from the (lo, new, split) segments of _first_hits."""
+    for lo, new, split in segments:
+        for n, v in enumerate(new, lo):
+            if n in split:
+                qs = split[n]
+                yield PrimitiveStatus(n, True, max(qs), len(qs) > 1)
+            elif v > 1:
+                yield PrimitiveStatus(n, True, v)
+            else:
+                yield PrimitiveStatus(n, False)
 
 
 def rho(spec: SequenceSpec, x: int, checkpoints: Optional[Sequence[int]] = None, *,
@@ -111,25 +190,29 @@ def rho(spec: SequenceSpec, x: int, checkpoints: Optional[Sequence[int]] = None,
     """
     if x < 1:
         raise PreconditionViolatedError("x must be >= 1")
+    cfg = SieveConfig(1, x + 1, segment_size=segment_size)
     marks = sorted({m for m in checkpoints if 1 <= m <= x}) if checkpoints else [x]
     if not marks or marks[-1] != x:
         marks.append(x)
-    stream = classify_range(spec, x, segment_size=segment_size)
     rows = []
     count = 0
     mi = 0
-    for st in stream:
-        if st.has_primitive:
-            count += 1
-        while mi < len(marks) and st.n == marks[mi]:
-            rows.append((st.n, count, count / st.n))
+    for lo, new, _ in _first_hits(spec, cfg):
+        done = 0  # new[:done] is already counted
+        while mi < len(marks) and marks[mi] < lo + len(new):
+            k = marks[mi] - lo + 1
+            count += k - done - new[done:k].count(1)
+            done = k
+            rows.append((marks[mi], count, count / marks[mi]))
             mi += 1
+        count += len(new) - done - new[done:].count(1)
     return DensityReport(spec, rows)
 
 
 def non_primitive_census(spec: SequenceSpec, x: int, *,
                          segment_size: int = sieve.DEFAULT_SEGMENT) -> CensusReport:
     """Indices n <= x whose term has no primitive divisor, with their count."""
-    idx = [st.n for st in classify_range(spec, x, segment_size=segment_size)
-           if not st.has_primitive]
+    cfg = SieveConfig(1, x + 1, segment_size=segment_size)
+    idx = [n for lo, new, _ in _first_hits(spec, cfg)
+           for n, v in enumerate(new, lo) if v == 1]
     return CensusReport(spec, x, idx, len(idx))

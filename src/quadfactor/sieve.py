@@ -19,17 +19,18 @@ modular arithmetic, so output is identical for any segment size.
 Two kernels share the root sets of sieve_primes:
 
 * sieve_range streams one TermFactorization per n, dividing each hit
-  in a loop; the primitive-divisor classifier and the raw dump use it.
+  in a loop; it now serves only the raw `sieve` dump (the
+  primitive-divisor count finds its primes itself, in primitive).
 * slice_range, for the aggregate statistics, builds no per-term
   record.  Each root mod p of an odd p not dividing b is lifted by
-  Hensel's lemma to the root mod p^k for every p^k up to the largest
-  |n^2 + b|; p^k divides n^2 + b exactly when n is congruent to one of
-  these roots, so one strided slice division per (p^k, root) removes
-  exactly the exponent of p.  For p = 2 and p | b the roots mod p^k
-  can multiply, so those primes fall back to dividing each hit mod p
-  in a loop.  The exponent totals count the same divisions that
-  produce the cofactors, so |n^2 + b| = prod p^e * cofactor holds by
-  construction.
+  Hensel's lemma (_hensel_levels, shared with primitive) to the root
+  mod p^k for every p^k up to the largest |n^2 + b|; p^k divides
+  n^2 + b exactly when n is congruent to one of these roots, so one
+  strided slice division per (p^k, root) removes exactly the exponent
+  of p.  For p = 2 and p | b the roots mod p^k can multiply, so those
+  primes fall back to dividing each hit mod p in a loop.  The exponent
+  totals count the same divisions that produce the cofactors, so
+  |n^2 + b| = prod p^e * cofactor holds by construction.
 """
 
 from bisect import bisect_left
@@ -175,18 +176,26 @@ def lifted_roots(spec: SequenceSpec, limit: int, top: int) -> Tuple[list, list]:
         p = rs.p
         if p == 2 or b % p == 0:
             fallback.append((p, rs.roots))
-            continue
-        levels = []
-        r = rs.roots[0]
+        elif p <= top:  # p > top divides no value in range
+            lifted.append((p, tuple(_hensel_levels(p, rs.roots[0], b, top))))
+    return lifted, fallback
+
+
+def _hensel_levels(p: int, r: int, b: int, top: int) -> list:
+    """((p^k, r_k), (p^k, p^k - r_k)) for every p^k <= top, ascending in p^k.
+
+    p is an odd prime not dividing b, p <= top, and r a root of n^2 + b
+    mod p; r_k is the root mod p^k that reduces to r mod p.
+    """
+    levels = [(p, r), (p, p - r)]
+    pk = p * p
+    if pk <= top:
         u = pow(2 * r, -1, p)  # the roots mod p^k all reduce to r mod p
-        pk = p
         while pk <= top:
+            r = (r - (r * r + b) * u) % pk
             levels += ((pk, r), (pk, pk - r))
             pk *= p
-            r = (r - (r * r + b) * u) % pk
-        if levels:  # p > top divides no value in range
-            lifted.append((p, tuple(levels)))
-    return lifted, fallback
+    return levels
 
 
 def _slice_segment(b: int, lo: int, hi: int, strided: list, fallback: list,
@@ -277,15 +286,6 @@ def slice_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
         k = bisect_left(singles, (shi,), j)
         yield _slice_segment(b, slo, shi, strided, fallback, singles[j:k])
         j = k
-
-
-def p_plus_of(tf: TermFactorization) -> int:
-    """Greatest prime factor of |n^2 + b| read off a factorization."""
-    if tf.cofactor > 1:
-        return tf.cofactor
-    if tf.factors:
-        return tf.factors[-1][0]
-    raise OutOfDomainError(f"|P_{tf.n}| = 1 has no prime factor")
 
 
 def write_csv(stream: Iterable[TermFactorization], fh) -> None:

@@ -1,19 +1,14 @@
+import itertools
 import math
 
 import pytest
 
 from quadfactor import arith, primitive, sieve
-from quadfactor.errors import PreconditionViolatedError
-from quadfactor.sieve import SieveConfig
+from quadfactor.errors import CapExceededError, OutOfDomainError
 
 from conftest import naive_is_prime, naive_p_plus, naive_prime_set
 
 B_POOL = (1, 2, 3, 5, 7, -2, -3)
-
-
-def _history(b, upto):
-    spec = arith.validate_b(b)
-    return list(sieve.sieve_range(spec, SieveConfig(1, upto)))
 
 
 def test_definitional_hand_examples():
@@ -26,19 +21,18 @@ def test_definitional_hand_examples():
 
 
 def test_fast_hand_examples():
-    b1 = arith.validate_b(1)
-    rows = {tf.n: tf for tf in _history(1, 11)}
-    assert not primitive.primitive_status_fast(b1, rows[3]).has_primitive
-    st4 = primitive.primitive_status_fast(b1, rows[4])
-    assert st4.has_primitive and st4.primitive_prime == 17
-    assert not primitive.primitive_status_fast(b1, rows[8]).has_primitive
+    b1 = {st.n: st for st in primitive.classify_range(arith.validate_b(1), 11)}
+    assert not b1[3].has_primitive
+    assert b1[4].has_primitive and b1[4].primitive_prime == 17
+    assert not b1[8].has_primitive
 
 
-def test_fast_rejects_small_n():
-    b3 = arith.validate_b(3)
-    rows = _history(3, 5)
-    with pytest.raises(PreconditionViolatedError):
-        primitive.primitive_status_fast(b3, rows[2])  # n = 3 = |b|
+def test_small_n_statuses_match_oracle():
+    # the kernel has no n > |b| precondition: n <= |b| = 3 is classified too
+    spec = arith.validate_b(3)
+    want = list(primitive.classify_definitional(spec, 3))
+    assert list(primitive.classify_range(spec, 3)) == want
+    assert [st.primitive_prime for st in want] == [2, 7, 3]  # 4 = 2^2, 7, 12 = 2^2 * 3
 
 
 def test_rho_hand_examples():
@@ -137,3 +131,74 @@ def test_rho_thread_determinism():
     a = primitive.rho(spec, 5000, [1000, 5000], segment_size=512)
     b = primitive.rho(spec, 5000, [1000, 5000])
     assert a.checkpoints == b.checkpoints
+
+
+def _admissible(lo, hi):
+    return [b for b in range(lo, hi + 1) if b > 0 or math.isqrt(-b) ** 2 != -b]
+
+
+def test_kernel_matches_oracle_sweep():
+    # every field of every n, n <= |b| included, across segment sizes
+    # that split the range anywhere (1, a small prime, 97, the default)
+    xs = (1, 2, 7, 50, 700)
+    for b in _admissible(-150, 150):
+        spec = arith.validate_b(b)
+        oracle = list(primitive.classify_definitional(spec, xs[-1]))
+        for x in xs:
+            want = oracle[:x]
+            counts = list(itertools.accumulate(st.has_primitive for st in want))
+            rows = [(n, c, c / n) for n, c in enumerate(counts, 1)]
+            non = [st.n for st in want if not st.has_primitive]
+            for seg in (1, 37, 97, sieve.DEFAULT_SEGMENT):
+                got = list(primitive.classify_range(spec, x, segment_size=seg))
+                assert got == want, (b, x, seg)
+                marks = range(1, x + 1)
+                assert primitive.rho(spec, x, marks, segment_size=seg).checkpoints == rows
+                cen = primitive.non_primitive_census(spec, x, segment_size=seg)
+                assert (cen.non_primitive, cen.count) == (non, len(non)), (b, x, seg)
+
+
+def test_kernel_needs_no_root_table(monkeypatch):
+    # the primes come from the scan itself: no prime list, no square roots,
+    # and |b| plus the oracle-zone leftovers are the only factorizations
+    x = 3000
+    want = {}
+    for b in (1, -2, -1155):
+        sts = list(primitive.classify_definitional(arith.validate_b(b), x))
+        want[b] = (sum(st.has_primitive for st in sts),
+                   [st.n for st in sts if not st.has_primitive])
+
+    def banned(*args, **kwargs):
+        raise AssertionError("root-table path called")
+    calls = []
+    factorize = arith.factorize
+
+    def counted(m):
+        calls.append(m)
+        return factorize(m)
+    for name in ("sieve_primes", "sieve_range"):
+        monkeypatch.setattr(sieve, name, banned)
+    monkeypatch.setattr(arith, "_roots_mod_p", banned)
+    monkeypatch.setattr(arith, "factorize", counted)
+    for b, (count, non) in want.items():
+        spec = arith.validate_b(b)
+        zone = min(x, math.isqrt(abs(b) // 3))
+        calls.clear()
+        assert primitive.rho(spec, x).checkpoints == [(x, count, count / x)]
+        assert len(calls) <= 1 + zone, b
+        calls.clear()
+        cen = primitive.non_primitive_census(spec, x)
+        assert (cen.non_primitive, cen.count) == (non, x - count)
+        assert len(calls) <= 1 + zone, b
+
+
+def test_kernel_validates_before_any_segment(monkeypatch):
+    def banned(m):
+        raise AssertionError("kernel started")
+    monkeypatch.setattr(arith, "factorize", banned)
+    spec = arith.validate_b(1)
+    for fn in (primitive.rho, primitive.non_primitive_census, primitive.classify_range):
+        with pytest.raises(CapExceededError):
+            fn(spec, sieve.HI_CAP)
+        with pytest.raises(OutOfDomainError):
+            fn(spec, 10, segment_size=0)

