@@ -6,6 +6,7 @@ is a pure function over immutable inputs and safe to call concurrently.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import NegativeSquareError, NotPrimeError, OutOfDomainError
@@ -72,12 +73,9 @@ def is_prime(m: int) -> bool:
 def _tonelli(a: int, p: int) -> int:
     """One square root of a mod p (odd prime, a a known nonzero residue).
 
-    Uses the p % 4 == 3 shortcut, otherwise Tonelli-Shanks with a
-    deterministic non-residue search starting from 2 so that results
-    are reproducible run to run.
+    Tonelli-Shanks with a deterministic non-residue search starting from
+    2 so that results are reproducible run to run.
     """
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -107,16 +105,34 @@ def _tonelli(a: int, p: int) -> int:
 def _roots_mod_p(a: int, p: int) -> tuple:
     """Square roots of a modulo a prime p, ascending: (), (r,) or (r, p - r).
 
-    Euler's criterion rules out non-residues; p = 2 and a == 0 (mod p)
-    have the single root a mod p.  Primality of p is the caller's promise.
+    p = 2 and a == 0 (mod p) have the single root a mod p.  An odd p
+    takes one of three routes (Crandall-Pomerance, Alg. 2.3.8):
+
+    * p == 3 (mod 4): r = a^((p+1)/4);
+    * p == 5 (mod 8): Atkin's r = a v (i - 1), v = (2a)^((p-5)/8),
+      i = 2a v^2, one exponentiation since 2 is a non-residue mod p;
+    * p == 1 (mod 8): Euler's criterion, then Tonelli-Shanks.
+
+    The first two give a root whenever one exists, so r^2 == a (mod p)
+    decides residuosity in place of a separate Euler test.  Primality
+    of p is the caller's promise.
     """
     a %= p
     if p == 2 or a == 0:
         return (a,)
-    if pow(a, (p - 1) // 2, p) != 1:
+    if p & 3 == 3:
+        r = pow(a, (p + 1) >> 2, p)
+    elif p & 7 == 5:
+        a2 = 2 * a
+        v = pow(a2, (p - 5) >> 3, p)
+        r = a * v * (a2 * v * v - 1) % p
+    elif pow(a, (p - 1) >> 1, p) == 1:
+        r = _tonelli(a, p)
+    else:
         return ()
-    r = _tonelli(a, p)
-    return (min(r, p - r), max(r, p - r))
+    if r * r % p != a:
+        return ()
+    return (r, p - r) if r < p - r else (p - r, r)
 
 
 def sqrt_mod(a: int, p: int) -> set:
@@ -152,7 +168,7 @@ def primes_upto(n: int) -> list:
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytearray(len(range(p * p, n + 1, p)))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(compress(range(n + 1), sieve))
 
 
 def _pollard_brent(m: int) -> int:

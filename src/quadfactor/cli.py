@@ -42,14 +42,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fnum(v) -> str:
-    if isinstance(v, float):
+    if type(v) is float:
         return f"{v:.12g}"
     return str(v)
 
 
 def _csv(rows: List[list], header: List[str]) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(_fnum(v) for v in row) for row in rows)
+    lines += [",".join(map(_fnum, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -10,12 +10,16 @@ nx_histogram() counts, for n in [x, 2x), how many terms each prime
 p >= 2x divides; vx() sums those counts over a window (v, e*v].
 
 Both run on sieve.slice_range, which yields per segment the values
-|n^2 + b|, their cofactors above 2x and the exponent total of every
-prime up to 2x, without a per-term factor list.  The totals and the
-cofactors come from the same exact divisions (Hensel-lifted slices,
-with a per-hit loop for p = 2 and the primes dividing b), so every
-prime of Q_x is counted with its full exponent; a cofactor is split
-into primes by arith only when it exceeds (2x)^2.
+|n^2 + b|, their cofactors above the sieve limit L and the exponent
+total of every prime up to L, without a per-term factor list.  The
+totals and the cofactors come from the same exact divisions
+(Hensel-lifted slices, with a per-hit loop for p = 2 and the primes
+dividing b), so every prime of Q_x is counted with its full exponent;
+a cofactor is split into primes by arith only when it exceeds L^2.
+nx_histogram sieves to L = 2x.  chebyshev_report sieves to
+L = min(2x, isqrt(x^2 + |b|) + 1): below the cap every |n^2 + b| is
+under L^2, so a cofactor is one prime, and the cofactor primes in
+(L, 2x) join S by value.
 
 chowla_todd_density() counts m <= x whose greatest prime factor exceeds
 2*sqrt(m) (natural density log 2), and mertens_sum() accumulates the
@@ -95,12 +99,18 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0, *,
         raise PreconditionViolatedError("x must be >= 2")
     if K <= 2:
         raise PreconditionViolatedError("K must be > 2")
-    limit = 2 * x
+    bound = 2 * x
+    # Every |n^2 + b| with n <= x is below L^2 for L = isqrt(x^2 + |b|) + 1,
+    # so with the primes up to L divided out a cofactor above 1 is one
+    # prime.  The cap 2x bounds the table once |b| reaches about 3x^2;
+    # cofactors above (2x)^2 are then split by _split_cofactor.
+    limit = min(bound, arith.isqrt(x * x + abs(spec.b)) + 1)
     cfg = SieveConfig(1, x + 1, prime_limit=limit, segment_size=segment_size)
     exps: Dict[int, int] = {}
-    # Cofactor primes exceed the sieve limit 2x, so they sort after every
+    # Cofactor primes exceed the sieve limit L, so they sort after every
     # key of exps; about 630k of them at x = 10^6, mostly with exponent 1,
     # which a list of ints holds in far less memory than dict entries.
+    # Those below 2x still belong to S, by value, in the loop below.
     above: List[int] = []
     single = limit * limit  # a cofactor up to this is one prime
     log_q = _Kahan()
@@ -118,7 +128,6 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0, *,
     ascending = chain(sorted(exps.items()),
                       ((p, len(list(run))) for p, run in groupby(above)))
 
-    bound = 2 * x
     kx = K * x
     sum_s = _Kahan()
     sum_sp = _Kahan()

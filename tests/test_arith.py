@@ -41,20 +41,22 @@ def test_sqrt_mod_rejects_composite_modulus():
 
 
 def test_sqrt_mod_euler_criterion_exhaustive_small(small_primes):
-    # every residue for every odd prime up to 500
+    # every residue for every prime below 1000, which covers each of the
+    # three routes of _roots_mod_p (p = 3 mod 4, 5 mod 8, 1 mod 8), against
+    # the roots found by squaring every r
     for p in small_primes:
-        if p == 2 or p > 500:
-            continue
+        if p >= 1000:
+            break
+        brute = {}
+        for r in range(p):
+            brute.setdefault(r * r % p, []).append(r)
         for a in range(p):
-            roots = arith.sqrt_mod(a, p)
-            for r in roots:
-                assert r * r % p == a
-            if a == 0:
-                assert roots == {0}
-            elif pow(a, (p - 1) // 2, p) == 1:
-                assert len(roots) == 2
-            else:
-                assert roots == set()
+            want = tuple(brute.get(a, ()))
+            assert arith._roots_mod_p(a, p) == want, (a, p)
+            assert arith._roots_mod_p(a - p, p) == want, (a - p, p)
+            assert arith.sqrt_mod(a, p) == set(want)
+            if p > 2 and a:
+                assert len(want) == (2 if pow(a, (p - 1) // 2, p) == 1 else 0)
 
 
 def test_sqrt_mod_euler_criterion_sampled(small_primes):

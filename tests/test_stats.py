@@ -12,8 +12,10 @@ from conftest import (li, naive_chowla_todd_count, naive_factorize, naive_p_plus
                       naive_prime_flags, naive_prime_pi)
 
 # p = 2 and p | b, p^2 | b, b < 0 with negative terms; -73600 puts every
-# n <= 156 in the sieve's oracle zone (3n^2 <= |b|)
-ORACLE_POOL = (1, -2, 2, 12, -72, 15, -73600)
+# n <= 156 in the sieve's oracle zone (3n^2 <= |b|).  chebyshev_report
+# sieves to L = min(2x, isqrt(x^2 + |b|) + 1): 504 and 2204 have L < 2x at
+# x = 77 and 600, 999999 has L = 2x for x <= 156 and L < 2x at 600.
+ORACLE_POOL = (1, -2, 2, 12, -72, 15, -73600, 504, 2204, 999999)
 
 
 def test_chebyshev_small_oracle():
@@ -37,6 +39,27 @@ def test_chebyshev_identity_and_partition():
             rep = stats.chebyshev_report(spec, x, 4.0)
             assert abs(rep.sum_S + rep.sum_Sprime - rep.log_Qx) <= 1e-9 * abs(rep.log_Qx)
             assert rep.t + rep.u == rep.s_prime
+
+
+def test_chebyshev_sieve_limit(monkeypatch):
+    # below the cap a cofactor is below L^2, so it is one prime and nothing
+    # is left for is_prime or factorize
+    limits = []
+    sieve_primes = sieve.sieve_primes
+    monkeypatch.setattr(sieve, "sieve_primes",
+                        lambda spec, limit: limits.append(limit) or sieve_primes(spec, limit))
+
+    def banned(*args):
+        raise AssertionError("cofactor split by arith")
+
+    with monkeypatch.context() as m:
+        m.setattr(arith, "is_prime", banned)
+        m.setattr(arith, "factorize", banned)
+        stats.chebyshev_report(arith.validate_b(1), 3000)
+    assert limits == [3001]
+    limits.clear()
+    stats.chebyshev_report(arith.validate_b(2 ** 31), 100)
+    assert limits == [200]  # isqrt(100^2 + 2^31) + 1 = 46342, capped at 2x
 
 
 def test_chebyshev_preconditions():
