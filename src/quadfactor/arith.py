@@ -171,6 +171,21 @@ def primes_upto(n: int) -> list:
     return list(compress(range(n + 1), sieve))
 
 
+def _prime_segments(top: int):
+    """Yield (lo, flags) over [0, top] in ascending segments: flags[i] == 1
+    exactly when lo + i is prime.  Memory is O(sqrt(top)) plus one segment."""
+    base = primes_upto(isqrt(top))
+    length = 1 << 18
+    for lo in range(0, top + 1, length):
+        flags = bytearray([1]) * min(length, top + 1 - lo)
+        if lo == 0:
+            flags[:2] = bytes(len(flags[:2]))
+        for p in base:
+            start = max(p * p, -(-lo // p) * p) - lo
+            flags[start::p] = bytes(len(range(start, len(flags), p)))
+        yield lo, flags
+
+
 def _pollard_brent(m: int) -> int:
     """Nontrivial factor of an odd composite m, Brent's cycle variant."""
     if m % 2 == 0:

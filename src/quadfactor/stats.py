@@ -22,13 +22,13 @@ under L^2, so a cofactor is one prime, and the cofactor primes in
 (L, 2x) join S by value.
 
 chowla_todd_density() counts m <= x whose greatest prime factor exceeds
-2*sqrt(m) (natural density log 2), and mertens_sum() accumulates the
-reciprocals of the primes below x.
+2*sqrt(m) (density log 2) from prime counts, and mertens_sum() adds 1/p
+over the primes below x; both read one segmented prime sieve (arith).
 """
 
 import math
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, compress, groupby
 from typing import Dict, List, Optional, Tuple
 
 from . import arith, sieve
@@ -183,53 +183,36 @@ def vx(spec: SequenceSpec, x: int, v: float, *,
     return sum(c for p, c in hist.counts.items() if v < p <= hi)
 
 
-def chowla_todd_density(x: int, *,
-                        segment_size: int = sieve.DEFAULT_SEGMENT) -> Tuple[int, float]:
+def chowla_todd_density(x: int) -> Tuple[int, float]:
     """Count 2 <= m <= x with P+(m)^2 > 4m, and the ratio count/x."""
     if x < 2:
         raise PreconditionViolatedError("x must be >= 2")
-    count = _chowla_todd_counts([x], segment_size)[0]
+    count = _chowla_todd_counts([x])[0]
     return count, count / x
 
 
-def _chowla_todd_counts(marks: List[int],
-                        segment_size: int = sieve.DEFAULT_SEGMENT) -> List[int]:
+def _chowla_todd_counts(marks: List[int]) -> List[int]:
     """Running counts of 2 <= m <= mark with P+(m)^2 > 4m at each ascending mark.
 
-    One segmented largest-prime-factor sieve up to the last mark, with a
-    segment boundary after every mark: per segment, divide every entry
-    by the primes up to sqrt(marks[-1]) (all powers), tracking the
-    largest small prime that hit; a leftover above 1 is the greatest
-    prime factor, otherwise the tracked small prime is.
+    Such m are exactly p*s with p prime and p > 4s, so the count to X is
+    the sum over 4s^2 < X of pi(X//s) - pi(4s).  One segmented prime sieve
+    to the last mark takes pi at all query points, in ascending order.
     """
-    ps = arith.primes_upto(arith.isqrt(marks[-1]))
-    counts = []
-    count = 0
-    lo = 2
-    for mark in marks:
-        while lo <= mark:
-            hi = min(lo + segment_size, mark + 1)
-            length = hi - lo
-            rem = list(range(lo, hi))
-            best = [1] * length
-            for p in ps:
-                start = (-lo) % p
-                best[start::p] = [p] * len(range(start, length, p))
-                pk = p
-                while pk < hi:
-                    s2 = (-lo) % pk
-                    rem[s2::pk] = [v // p for v in rem[s2::pk]]
-                    pk *= p
-            m = lo
-            for i in range(length):
-                r = rem[i]
-                q = r if r > 1 else best[i]
-                if q * q > 4 * m:
-                    count += 1
-                m += 1
-            lo = hi
-        counts.append(count)
-    return counts
+    s_max = [arith.isqrt((X - 1) // 4) for X in marks]  # largest s with 4s^2 < X
+    points = sorted({X // s for X, m in zip(marks, s_max) for s in range(1, m + 1)}
+                    | set(range(4, 4 * s_max[-1] + 1, 4)), reverse=True)
+    pi: Dict[int, int] = {}
+    primes = 0
+    for lo, flags in arith._prime_segments(marks[-1]):
+        pos = 0
+        while points and points[-1] - lo < len(flags):
+            q = points.pop()
+            primes += flags.count(1, pos, q - lo + 1)
+            pi[q] = primes
+            pos = q - lo + 1
+        primes += flags.count(1, pos)
+    return [sum(pi[X // s] - pi[4 * s] for s in range(1, m + 1))
+            for X, m in zip(marks, s_max)]
 
 
 def mertens_sum(x: int) -> float:
@@ -237,6 +220,6 @@ def mertens_sum(x: int) -> float:
     if x < 3:
         raise OutOfDomainError("x must be >= 3")
     acc = _Kahan()
-    for p in arith.primes_upto(x - 1):
-        acc.add(1.0 / p)
+    for lo, flags in arith._prime_segments(x - 1):
+        acc.extend([1.0 / p for p in compress(range(lo, lo + len(flags)), flags)])
     return acc.total

@@ -83,31 +83,31 @@ def _cap_bits(digit_cap: int) -> int:
 
 
 def _cf_fundamental(D: int, cap_bits: Optional[int]):
-    """((x1, y1) or None, truncated); truncated once p_i q_i <= x1 exceeds cap_bits."""
+    """(x1, y1) or None; CapExceededError once p_i q_i <= x1 exceeds cap_bits."""
     a0 = isqrt(D)
     if a0 * a0 == D:
-        return None, False
+        return None
     P, Q, a = 0, 1, a0
     p0, p1, q0, q1 = 1, a0, 0, 1  # p_{i-1}, p_i, q_{i-1}, q_i
     while True:
         P_next = a * Q - P
         if P_next == P:
-            return None, False
+            return None
         Q_next = (D - P_next * P_next) // Q
         if Q_next == Q:
-            return (p1 * q1 + p0 * q0, q1 * q1 + q0 * q0), False
+            return p1 * q1 + p0 * q0, q1 * q1 + q0 * q0
         P, Q, a = P_next, Q_next, (a0 + P_next) // Q_next
         p0, p1 = p1, a * p1 + p0
         q0, q1 = q1, a * q1 + q0
         if cap_bits is not None and p1.bit_length() + q1.bit_length() - 1 > cap_bits:
-            return None, True
+            raise CapExceededError(f"continued fraction of sqrt({D}) passed the digit cap")
 
 
 def negative_pell_fundamental(D: int, digit_cap: Optional[int] = None):
-    """Least positive solution of x^2 - D y^2 = -1; None if unsolvable or past digit_cap."""
+    """Least (x, y) > 0 with x^2 - D y^2 = -1, or None; CapExceededError past digit_cap."""
     if D < 2:
         raise PreconditionViolatedError("D must be >= 2")
-    return _cf_fundamental(D, None if digit_cap is None else _cap_bits(digit_cap))[0]
+    return _cf_fundamental(D, None if digit_cap is None else _cap_bits(digit_cap))
 
 
 def pell_solutions_odd(D: int, fundamental: Tuple[int, int], k_max: int,
@@ -168,8 +168,9 @@ def stormer_search(B: int, k_max_override: Optional[int] = None,
     found: Set[int] = set()
     truncated: List[int] = []
     for D in enumerate_D(B):
-        fund, trunc = _cf_fundamental(D, cap_bits)
-        if trunc:
+        try:
+            fund = _cf_fundamental(D, cap_bits)
+        except CapExceededError:
             truncated.append(D)
             continue
         if fund is None or _reduce_by(fund[1], allowed) != 1:

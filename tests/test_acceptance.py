@@ -20,7 +20,7 @@ import pytest
 from quadfactor import arith, constants, primitive, stats, stormer
 from quadfactor.cli import _csv
 
-from conftest import li, naive_chowla_todd_count
+from conftest import li, naive_chowla_todd_count, naive_prime_flags, naive_prime_pi
 from test_properties import (run_nx_at_most_two, run_pell_identity,
                              run_rootset_correctness, run_sieve_reconstruction)
 from test_stormer import smooth_square_plus_one_scan
@@ -243,6 +243,35 @@ def test_criterion_7_ratio_tolerance_at_1e7(small_primes, chowla_1e7):
             f"count {count} = identity {ident}; ratio {ratio:.7f}, "
             f"R = {R:.6f}, |ratio - R| = {abs(ratio - R):.6f} vs eps = {eps:.6f}; "
             f"|ratio - log 2| = {abs(ratio - LOG2):.7f}")
+    assert count == ident
+    assert abs(ratio - R) < eps
+
+
+@pytest.mark.slow
+def test_criterion_7_slow_ratio_band_at_1e8():
+    """The checks of the 10^7 band at x = 10^8: the count against the
+    counting identity, and |ratio - R(x)| < eps(x) built the same way.
+    pi(4s) reaches 4 * 4999 = 19996, past small_primes, so it is counted
+    in the schoolbook sieve."""
+    x = 10 ** 8
+    count, ratio = stats.chowla_todd_density(x)
+    ident = naive_chowla_todd_count(x)
+
+    s_max = math.isqrt((x - 1) // 4)  # largest s with 4 s^2 < x
+    flags = naive_prime_flags(4 * s_max)
+    assert x / s_max >= 2657
+    R = eps = 0.0
+    for s in range(1, s_max + 1):
+        y = x / s
+        R += li(y) - naive_prime_pi(flags, 4 * s)
+        eps += math.sqrt(y) * math.log(y) / (8 * math.pi)
+    R /= x
+    eps /= x
+
+    ok = count == ident and abs(ratio - R) < eps
+    _report("7 (slow, band @ 1e8)", ok,
+            f"count {count} = identity {ident}; ratio {ratio:.7f}, "
+            f"R = {R:.6f}, |ratio - R| = {abs(ratio - R):.6f} vs eps = {eps:.6f}")
     assert count == ident
     assert abs(ratio - R) < eps
 

@@ -1,8 +1,13 @@
 import json
 import math
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadfactor
 from quadfactor import arith, cli, stats
 from quadfactor.errors import PreconditionViolatedError
 from quadfactor.svg import render_svg
@@ -84,6 +89,24 @@ def test_chowla_todd_checkpoints_in_one_pass(capsys, monkeypatch):
     for m, count, ratio in rows:
         c, r = stats.chowla_todd_density(int(m))
         assert [count, ratio] == [str(c), cli._fnum(r)]
+
+
+@pytest.mark.slow
+def test_chowla_and_mertens_memory_bounded_at_1e8():
+    # Both stream one segmented prime sieve, so at x = 10^8 they fit in a
+    # 128 MB address space; a list of the 5.76M primes below 10^8 does not.
+    # The limit is set in the child only.
+    limit = 128 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    for sub in ("mertens", "chowla-todd"):
+        out = subprocess.run([sys.executable, "-m", "quadfactor.cli", sub, "--x", "100000000"],
+                             capture_output=True, text=True, preexec_fn=cap, timeout=600,
+                             cwd=Path(quadfactor.__file__).parent.parent)
+        assert out.returncode == 0 and out.stderr == "", (sub, out.stderr)
+        assert out.stdout.splitlines()[1].startswith("100000000,"), sub
 
 
 def test_segment_size_only_on_sieving_subcommands(capsys):

@@ -1,4 +1,3 @@
-import inspect
 import math
 
 import pytest
@@ -16,6 +15,9 @@ from conftest import (li, naive_chowla_todd_count, naive_factorize, naive_p_plus
 # sieves to L = min(2x, isqrt(x^2 + |b|) + 1): 504 and 2204 have L < 2x at
 # x = 77 and 600, 999999 has L = 2x for x <= 156 and L < 2x at 600.
 ORACLE_POOL = (1, -2, 2, 12, -72, 15, -73600, 504, 2204, 999999)
+# Chowla-Todd and Mertens marks; the prime sieve runs in segments of 2^18,
+# so the last three straddle a segment edge
+EDGE_MARKS = [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17, 2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1]
 
 
 def test_chebyshev_small_oracle():
@@ -165,17 +167,21 @@ def test_chowla_todd_hand_and_identity_oracle():
     assert count10 == 2 and ratio10 == pytest.approx(0.2)
     assert stats.chowla_todd_density(2)[0] == 0
 
-    # brute force at small x
-    for x in (50, 500, 2000):
-        brute = sum(1 for m in range(2, x + 1)
-                    if naive_p_plus(m) ** 2 > 4 * m)
-        assert stats.chowla_todd_density(x)[0] == brute, x
+    # brute force at every x <= 10^4, independent of the counting identity,
+    # from one call with a mark at each x
+    xs = list(range(2, 10 ** 4 + 1))
+    brute = 0
+    for x, got in zip(xs, stats._chowla_todd_counts(xs)):
+        brute += naive_p_plus(x) ** 2 > 4 * x
+        assert got == brute, x
 
-    # independent counting identity: pairs m = p*s with prime p > 4s
+    # independent counting identity: pairs m = p*s with prime p > 4s; each
+    # mark alone and all in one pass
+    for x, got in zip(EDGE_MARKS, stats._chowla_todd_counts(EDGE_MARKS)):
+        assert got == stats.chowla_todd_density(x)[0] == naive_chowla_todd_count(x), x
     x = 10 ** 5
     count, ratio = stats.chowla_todd_density(x)
     assert count == naive_chowla_todd_count(x) == 61466
-    assert stats.chowla_todd_density(x, segment_size=97)[0] == 61466
     assert abs(ratio - math.log(2)) < 0.08
 
 
@@ -189,20 +195,24 @@ def test_li_and_prime_pi_oracles():
     assert round(li(10 ** 6) - 78498) == 130
 
 
-def test_chowla_todd_segmenting_invariance():
-    # one default segment length for every sieve: a 2^20-long segment costs
-    # memory and cache for no change in the count
-    for fn in (stats.chowla_todd_density, stats._chowla_todd_counts):
-        assert inspect.signature(fn).parameters["segment_size"].default == sieve.DEFAULT_SEGMENT
-    full, _ = stats.chowla_todd_density(30000, segment_size=1 << 20)
-    assert stats.chowla_todd_density(30000, segment_size=997)[0] == full
-    assert stats.chowla_todd_density(30000, segment_size=1)[0] == full
-
-
 def test_chowla_ratio_improves_with_x():
     r4 = stats.chowla_todd_density(10 ** 4)[1]
     r5 = stats.chowla_todd_density(10 ** 5)[1]
     assert abs(r5 - math.log(2)) < abs(r4 - math.log(2))
+
+
+def test_mertens_matches_schoolbook_sieve():
+    # the x of the direct Chowla-Todd checks, against math.fsum of 1/p over
+    # the conftest sieve
+    flags = naive_prime_flags(EDGE_MARKS[-1])
+    recips = []
+    for x in range(3, 10 ** 4 + 1):
+        if flags[x - 1]:
+            recips.append(1.0 / (x - 1))
+        assert stats.mertens_sum(x) == pytest.approx(math.fsum(recips), rel=1e-15, abs=0), x
+    for x in EDGE_MARKS:
+        want = math.fsum(1.0 / p for p in range(x) if flags[p])
+        assert stats.mertens_sum(x) == pytest.approx(want, rel=1e-15, abs=0), x
 
 
 def test_mertens_examples():

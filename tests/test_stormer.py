@@ -81,19 +81,25 @@ def test_negative_pell_matches_full_period_oracle(pell_oracle):
 
 @pytest.mark.parametrize("digit_cap", [1, 3, 10])
 def test_digit_cap_flags_only_fundamentals_past_the_cap(pell_oracle, digit_cap):
+    # The expansion stops once some p_i q_i passes the cap.  Every p_i q_i
+    # checked is at most x_1 = p q + p' q' < 2 p q (the last two
+    # convergents), so an x_1 within the cap always comes back and one more
+    # than two bits past it never does; D = a^2 + 1 returns (a, 1) before
+    # any check.  An even period has no x_1 and may stop either way.
     cap_bits = stormer._cap_bits(digit_cap)
-    flagged_solvable = 0
+    refused = 0
     for D, want in pell_oracle.items():
-        got, flagged = stormer._cf_fundamental(D, cap_bits)
-        assert stormer.negative_pell_fundamental(D, digit_cap) == got, D
-        if flagged:
-            # An even period has no x_1; an odd one has x_1 >= p_i q_i.
-            assert got is None, D
-            assert want is None or want[0].bit_length() > cap_bits, D
-            flagged_solvable += want is not None
-        else:
-            assert got == want, D
-    assert flagged_solvable > 0
+        bits = 0 if want is None else want[0].bit_length()
+        if bits > cap_bits + 2 and want[0] != arith.isqrt(D):
+            with pytest.raises(CapExceededError):
+                stormer.negative_pell_fundamental(D, digit_cap)
+            refused += 1
+            continue
+        try:
+            assert stormer.negative_pell_fundamental(D, digit_cap) == want, D
+        except CapExceededError:
+            assert want is None or bits > cap_bits, D
+    assert refused > 0
 
 
 def test_prune_walks_only_chains_with_smooth_y1(monkeypatch):
