@@ -21,15 +21,12 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from typing import List, Optional
 
 from . import arith, constants, primitive, sieve, stats, stormer
 from .errors import Error
 from .svg import render_svg
-
-THREADS_ENV = "QFL_THREADS"
 
 
 class _UsageError(Exception):
@@ -78,13 +75,9 @@ def _add_common(p, *, b=False, x=False, checkpoints=False, fmt=None):
     if checkpoints:
         p.add_argument("--checkpoints", type=int, default=1,
                        help="number of evenly spaced checkpoint rows (default 1)")
-    if b:  # the subcommands that take b are the ones that sieve n^2 + b
-        p.add_argument("--segment-size", type=int, default=sieve.DEFAULT_SEGMENT,
-                       help="sieve segment length")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"accepted for compatibility, like ${THREADS_ENV}; the "
-                        "computation is single-threaded and output is the same "
-                        "for every value")
+                   help="ignored: accepted for compatibility; the computation "
+                        "is single-threaded")
     if fmt:
         p.add_argument("--format", choices=fmt, default=fmt[0], help="output format")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -144,21 +137,10 @@ def build_parser() -> _Parser:
     return ap
 
 
-def _check_threads(args) -> None:
-    """Reject a malformed $QFL_THREADS when --threads is absent; the value is unused."""
-    env = os.environ.get(THREADS_ENV)
-    if args.threads is None and env:
-        try:
-            int(env)
-        except ValueError:
-            raise _UsageError(f"bad {THREADS_ENV} value: {env!r}")
-
-
 def _cmd_density(args) -> str:
     spec = arith.validate_b(args.b)
     marks = _checkpoint_grid(args.x, args.checkpoints)
-    _check_threads(args)
-    rep = primitive.rho(spec, args.x, marks, segment_size=args.segment_size)
+    rep = primitive.rho(spec, args.x, marks)
     if args.format == "csv":
         return _csv([[x, r, ratio] for x, r, ratio in rep.checkpoints],
                     ["x", "rho", "ratio"])
@@ -175,8 +157,7 @@ def _cmd_density(args) -> str:
 
 def _cmd_census(args) -> str:
     spec = arith.validate_b(args.b)
-    _check_threads(args)
-    rep = primitive.non_primitive_census(spec, args.x, segment_size=args.segment_size)
+    rep = primitive.non_primitive_census(spec, args.x)
     if args.format == "csv":
         return _csv([[n] for n in rep.non_primitive], ["n"])
     return json.dumps({"b": args.b, "x": args.x, "count": rep.count,
@@ -185,8 +166,7 @@ def _cmd_census(args) -> str:
 
 def _cmd_chebyshev(args) -> str:
     spec = arith.validate_b(args.b)
-    _check_threads(args)
-    r = stats.chebyshev_report(spec, args.x, args.K, segment_size=args.segment_size)
+    r = stats.chebyshev_report(spec, args.x, args.K)
     if args.format == "csv":
         return _csv([[r.x, r.K, r.log_Qx, r.sum_S, r.sum_Sprime,
                       r.s, r.s_prime, r.t, r.u]],
@@ -198,8 +178,7 @@ def _cmd_chebyshev(args) -> str:
 
 def _cmd_nx(args) -> str:
     spec = arith.validate_b(args.b)
-    _check_threads(args)
-    hist = stats.nx_histogram(spec, args.x, segment_size=args.segment_size)
+    hist = stats.nx_histogram(spec, args.x)
     if args.windows:
         rows = []
         v = 2.0 * args.x
@@ -253,8 +232,7 @@ def _cmd_stormer(args) -> str:
 
 def _cmd_sieve(args) -> str:
     spec = arith.validate_b(args.b)
-    cfg = sieve.SieveConfig(1, args.x + 1, segment_size=args.segment_size)
-    _check_threads(args)
+    cfg = sieve.SieveConfig(1, args.x + 1)
     buf = io.StringIO()
     sieve.write_csv(sieve.sieve_range(spec, cfg), buf)
     return buf.getvalue()
@@ -285,9 +263,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code or 0
     try:
         text = _DISPATCH[args.cmd](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Error as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2

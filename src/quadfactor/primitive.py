@@ -19,10 +19,11 @@ root is computed:
   only at their least root.
 * Any other prime q left over at n registers its roots n and q - n,
   lifted by Hensel's lemma to every q^k <= x^2 + |b|.  A modulus below
-  the segment length becomes one strided slice division per segment; a
-  larger one waits in the bucket of the segment where it next hits
-  (Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014).  A prime
-  with q - n > x never recurs in range and is not registered.
+  the fixed segment length sieve.SEGMENT becomes one strided slice
+  division per segment; a larger one waits in the bucket of the
+  segment where it next hits (Oliveira e Silva, Herzog and Pardi,
+  Math. Comp. 83, 2014).  A prime with q - n > x never recurs in range
+  and is not registered.
 * Once 3n^2 > |b|, |P_n| < 4n^2, so the leftover is 1 or a single prime
   above 2n.  Below that (the oracle zone) it is factored by arith.
 
@@ -87,13 +88,16 @@ def classify_definitional(spec: SequenceSpec, x: int) -> Iterator[PrimitiveStatu
 def _first_hits(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
     """Stream (lo, new, split) per segment [lo, hi) of cfg = [1, x + 1).
 
+    The segments have the fixed length sieve.SEGMENT (the last one may be
+    shorter); the output does not depend on that length.
+
     new[i] is the product of the primes new at n = lo + i, so 1 exactly
     when P_n has no primitive divisor (in the oracle zone a new prime
     may appear with its exponent).  split maps the n at which new[i] is
     not itself the one new prime to the list of those primes: oracle-zone
     n and the least roots of 2 and of the primes of b.
     """
-    b, x, size = spec.b, cfg.hi - 1, cfg.segment_size
+    b, x, size = spec.b, cfg.hi - 1, sieve.SEGMENT
     top = x * x + abs(b)  # no |P_n| with n <= x exceeds this
     cut = arith.isqrt(abs(b) // 3)  # the oracle zone is n <= cut
     roots = {2: b % 2}  # fallback prime -> its root mod p
@@ -162,10 +166,12 @@ def _first_hits(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
         yield lo, rem, split
 
 
-def classify_range(spec: SequenceSpec, x: int, *,
-                   segment_size: int = sieve.DEFAULT_SEGMENT) -> Iterator[PrimitiveStatus]:
-    """Classify n = 1..x by the first-hit kernel, one PrimitiveStatus per n."""
-    return _statuses(_first_hits(spec, SieveConfig(1, x + 1, segment_size=segment_size)))
+def classify_range(spec: SequenceSpec, x: int) -> Iterator[PrimitiveStatus]:
+    """Classify n = 1..x by the first-hit kernel, one PrimitiveStatus per n.
+
+    SieveConfig checks x at the call, before any segment runs.
+    """
+    return _statuses(_first_hits(spec, SieveConfig(1, x + 1)))
 
 
 def _statuses(segments) -> Iterator[PrimitiveStatus]:
@@ -181,8 +187,8 @@ def _statuses(segments) -> Iterator[PrimitiveStatus]:
                 yield PrimitiveStatus(n, False)
 
 
-def rho(spec: SequenceSpec, x: int, checkpoints: Optional[Sequence[int]] = None, *,
-        segment_size: int = sieve.DEFAULT_SEGMENT) -> DensityReport:
+def rho(spec: SequenceSpec, x: int,
+        checkpoints: Optional[Sequence[int]] = None) -> DensityReport:
     """Count terms with a primitive divisor up to x, with running ratios.
 
     checkpoints is an ascending sequence of positions <= x at which
@@ -190,7 +196,7 @@ def rho(spec: SequenceSpec, x: int, checkpoints: Optional[Sequence[int]] = None,
     """
     if x < 1:
         raise PreconditionViolatedError("x must be >= 1")
-    cfg = SieveConfig(1, x + 1, segment_size=segment_size)
+    cfg = SieveConfig(1, x + 1)
     marks = sorted({m for m in checkpoints if 1 <= m <= x}) if checkpoints else [x]
     if not marks or marks[-1] != x:
         marks.append(x)
@@ -209,10 +215,8 @@ def rho(spec: SequenceSpec, x: int, checkpoints: Optional[Sequence[int]] = None,
     return DensityReport(spec, rows)
 
 
-def non_primitive_census(spec: SequenceSpec, x: int, *,
-                         segment_size: int = sieve.DEFAULT_SEGMENT) -> CensusReport:
+def non_primitive_census(spec: SequenceSpec, x: int) -> CensusReport:
     """Indices n <= x whose term has no primitive divisor, with their count."""
-    cfg = SieveConfig(1, x + 1, segment_size=segment_size)
-    idx = [n for lo, new, _ in _first_hits(spec, cfg)
+    idx = [n for lo, new, _ in _first_hits(spec, SieveConfig(1, x + 1))
            for n, v in enumerate(new, lo) if v == 1]
     return CensusReport(spec, x, idx, len(idx))

@@ -13,8 +13,11 @@ factored by the oracle instead).  Smaller limits are allowed, e.g. for
 smoothness scans, in which case the cofactor is merely a product of
 primes above the limit.
 
+The kernels here and in primitive scan [lo, hi) in segments of the one
+fixed length SEGMENT (read at run time, so a test can patch it in).
 Segments are stateless: per-segment hit offsets are recomputed by
-modular arithmetic, so output is identical for any segment size.
+modular arithmetic, so the output does not depend on the length, and
+the memory of a segment is a constant.
 
 Two kernels share the root sets of sieve_primes:
 
@@ -42,7 +45,7 @@ from .arith import RootSet, SequenceSpec
 from .errors import CapExceededError, OutOfDomainError
 
 HI_CAP = 10 ** 9
-DEFAULT_SEGMENT = 1 << 16
+SEGMENT = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,20 +66,17 @@ class TermFactorization:
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """Index range [lo, hi), sieve prime limit and segment length."""
+    """Index range [lo, hi) and sieve prime limit (default 2 * hi)."""
 
     lo: int
     hi: int
     prime_limit: Optional[int] = None
-    segment_size: int = DEFAULT_SEGMENT
 
     def __post_init__(self):
         if not (1 <= self.lo < self.hi):
             raise OutOfDomainError(f"need 1 <= lo < hi, got [{self.lo}, {self.hi})")
         if self.hi > HI_CAP:
             raise CapExceededError(f"hi = {self.hi} exceeds the cap {HI_CAP}")
-        if self.segment_size < 1:
-            raise OutOfDomainError("segment_size must be >= 1")
         if self.prime_limit is None:
             object.__setattr__(self, "prime_limit", 2 * self.hi)
         if self.prime_limit < 2:
@@ -153,8 +153,8 @@ def sieve_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[TermFactorizat
     b = spec.b
     pairs = _flatten(sieve_primes(spec, cfg.prime_limit))
     oracle_cut = arith.isqrt(abs(b) // 3)
-    for slo in range(cfg.lo, cfg.hi, cfg.segment_size):
-        yield from _sieve_segment(b, slo, min(slo + cfg.segment_size, cfg.hi), pairs, oracle_cut)
+    for slo in range(cfg.lo, cfg.hi, SEGMENT):
+        yield from _sieve_segment(b, slo, min(slo + SEGMENT, cfg.hi), pairs, oracle_cut)
 
 
 def lifted_roots(spec: SequenceSpec, limit: int, top: int) -> Tuple[list, list]:
@@ -281,8 +281,8 @@ def slice_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
     strided, singles = _split_by_span(lifted, lo, hi)
     del lifted  # the segments need only the split copies
     j = 0
-    for slo in range(lo, hi, cfg.segment_size):
-        shi = min(slo + cfg.segment_size, hi)
+    for slo in range(lo, hi, SEGMENT):
+        shi = min(slo + SEGMENT, hi)
         k = bisect_left(singles, (shi,), j)
         yield _slice_segment(b, slo, shi, strided, fallback, singles[j:k])
         j = k

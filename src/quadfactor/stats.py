@@ -92,12 +92,11 @@ def _split_cofactor(c: int, limit: int):
         yield from arith.factorize(c)
 
 
-def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0, *,
-                     segment_size: int = sieve.DEFAULT_SEGMENT) -> ChebyshevReport:
+def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevReport:
     """Aggregate the exact prime decomposition of Q_x = prod_{n<=x} |n^2 + b|."""
     if x < 2:
         raise PreconditionViolatedError("x must be >= 2")
-    if K <= 2:
+    if not K > 2:  # also rejects NaN
         raise PreconditionViolatedError("K must be > 2")
     bound = 2 * x
     # Every |n^2 + b| with n <= x is below L^2 for L = isqrt(x^2 + |b|) + 1,
@@ -105,7 +104,7 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0, *,
     # prime.  The cap 2x bounds the table once |b| reaches about 3x^2;
     # cofactors above (2x)^2 are then split by _split_cofactor.
     limit = min(bound, arith.isqrt(x * x + abs(spec.b)) + 1)
-    cfg = SieveConfig(1, x + 1, prime_limit=limit, segment_size=segment_size)
+    cfg = SieveConfig(1, x + 1, prime_limit=limit)
     exps: Dict[int, int] = {}
     # Cofactor primes exceed the sieve limit L, so they sort after every
     # key of exps; about 630k of them at x = 10^6, mostly with exponent 1,
@@ -148,8 +147,7 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0, *,
                            s, s_prime, t, u)
 
 
-def nx_histogram(spec: SequenceSpec, x: int, *,
-                 segment_size: int = sieve.DEFAULT_SEGMENT) -> NxHistogram:
+def nx_histogram(spec: SequenceSpec, x: int) -> NxHistogram:
     """Count n in [x, 2x) divisible by each prime p >= 2x.
 
     Sieving with prime_limit 2x leaves exactly those primes in the
@@ -159,7 +157,7 @@ def nx_histogram(spec: SequenceSpec, x: int, *,
     if x < 2:
         raise PreconditionViolatedError("x must be >= 2")
     limit = 2 * x
-    cfg = SieveConfig(x, 2 * x, prime_limit=limit, segment_size=segment_size)
+    cfg = SieveConfig(x, 2 * x, prime_limit=limit)
     counts: Dict[int, int] = {}
     for _, rem, _ in sieve.slice_range(spec, cfg):
         for c in rem:

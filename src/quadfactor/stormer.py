@@ -158,6 +158,10 @@ def stormer_search(B: int, k_max_override: Optional[int] = None,
     B-smooth, keeps the x_k whose n^2 + 1 is verified smooth over the
     primes below B, and returns the sorted, deduplicated union.
     """
+    if k_max_override is not None and k_max_override < 1:
+        raise PreconditionViolatedError("k_max_override must be >= 1")
+    if digit_cap < 1:
+        raise PreconditionViolatedError("digit_cap must be >= 1")
     k_max = k_max_override if k_max_override is not None else default_k_max(B)
     if k_max % 2 == 0:
         k_max += 1

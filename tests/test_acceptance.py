@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s`.  The expensive reports
 (rho and the Chebyshev split at x = 10^6, the N_x histograms) are built
 once in session fixtures and shared; the determinism criterion rebuilds
-them at a prime segment size (99991, so segment boundaries fall away from
-the default 2^16) and byte-compares the rendered CSV.
+them with sieve.SEGMENT patched to a prime (99991, so segment boundaries
+fall away from the fixed 2^16) and byte-compares the rendered CSV.
 
 Pinned regression numbers, where no comment names another source, were
 produced by this implementation's first oracle run and are asserted to
@@ -17,7 +17,7 @@ from bisect import bisect_right
 
 import pytest
 
-from quadfactor import arith, constants, primitive, stats, stormer
+from quadfactor import arith, constants, primitive, sieve, stats, stormer
 from quadfactor.cli import _csv
 
 from conftest import li, naive_chowla_todd_count, naive_prime_flags, naive_prime_pi
@@ -295,21 +295,23 @@ def test_criterion_8_slow_B101():
     assert res.max_n == 24208144
 
 
-def test_criterion_9_parallel_determinism(spec1, rho_1e6, cheb, nx_hists):
+def test_criterion_9_parallel_determinism(spec1, rho_1e6, cheb, nx_hists, monkeypatch):
     marks = [i * 10 ** 5 for i in range(1, 11)]
-    seg = 99991  # prime, so segment boundaries differ from the default 2^16
-    rho_seg = primitive.rho(spec1, 10 ** 6, marks, segment_size=seg)
+    seg = 99991  # prime, so segment boundaries differ from the fixed 2^16
+    assert seg != sieve.SEGMENT  # the fixtures ran at the real length
+    monkeypatch.setattr(sieve, "SEGMENT", seg)
+    rho_seg = primitive.rho(spec1, 10 ** 6, marks)
     header = ["x", "rho", "ratio"]
     a = _csv([list(r) for r in rho_1e6[0].checkpoints], header).encode()
     b = _csv([list(r) for r in rho_seg.checkpoints], header).encode()
     assert a == b
 
-    c_seg = stats.chebyshev_report(spec1, 10 ** 6, 4.0, segment_size=seg)
+    c_seg = stats.chebyshev_report(spec1, 10 ** 6, 4.0)
     hdr = ["x", "K", "log_Qx", "sum_S", "sum_Sprime", "s", "sprime", "t", "u"]
     row = lambda r: [r.x, r.K, r.log_Qx, r.sum_S, r.sum_Sprime, r.s, r.s_prime, r.t, r.u]
     assert _csv([row(cheb[10 ** 6])], hdr).encode() == _csv([row(c_seg)], hdr).encode()
 
-    n_seg = stats.nx_histogram(spec1, 10 ** 5, segment_size=seg)
+    n_seg = stats.nx_histogram(spec1, 10 ** 5)
     render = lambda h: _csv([[p, h.counts[p]] for p in sorted(h.counts)], ["p", "count"]).encode()
     assert render(nx_hists[10 ** 5]) == render(n_seg)
     assert _report(9, True, "rho(1e6), chebyshev(1e6), nx(1e5) CSVs byte-identical "

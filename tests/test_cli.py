@@ -109,13 +109,14 @@ def test_chowla_and_mertens_memory_bounded_at_1e8():
         assert out.stdout.splitlines()[1].startswith("100000000,"), sub
 
 
-def test_segment_size_only_on_sieving_subcommands(capsys):
-    for argv in (["chowla-todd", "--x", "100"], ["mertens", "--x", "100"]):
-        code, _, err = run(capsys, *argv, "--segment-size", "7")
-        assert code == 1 and "--segment-size" in err
-    for sub in ("density", "census", "chebyshev", "nx", "sieve"):
-        code, _, _ = run(capsys, sub, "--b", "1", "--x", "20", "--segment-size", "7")
-        assert code == 0
+def test_segment_size_rejected_by_every_subcommand(capsys):
+    # the segment length is fixed (sieve.SEGMENT); no subcommand takes it
+    for argv in (["density", "--b", "1", "--x", "20"], ["census", "--b", "1", "--x", "20"],
+                 ["chebyshev", "--b", "1", "--x", "20"], ["nx", "--b", "1", "--x", "20"],
+                 ["sieve", "--b", "1", "--x", "20"], ["chowla-todd", "--x", "100"],
+                 ["mertens", "--x", "100"], ["constants"], ["stormer", "--bound", "6"]):
+        code, out, err = run(capsys, *argv, "--segment-size", "7")
+        assert code == 1 and "--segment-size" in err and out == "", argv
 
 
 def test_constants_json(capsys):
@@ -149,23 +150,29 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, _ = run(capsys, "stormer", "--bound", "2")
     assert code == 2  # precondition violation surfaces as computation error
+    for argv in (["stormer", "--bound", "14", "--kmax", "-5"],
+                 ["stormer", "--bound", "14", "--kmax", "0"],
+                 ["stormer", "--bound", "14", "--digit-cap", "-1"],
+                 ["stormer", "--bound", "14", "--digit-cap", "0"],
+                 ["chebyshev", "--b", "1", "--x", "100", "--K", "nan"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("computation error:"), argv
     assert cli.main(["--help"]) == 0
     for sub in ("density", "census", "chebyshev", "nx", "chowla-todd",
                 "mertens", "constants", "stormer", "sieve"):
         assert cli.main([sub, "--help"]) == 0
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "4")
-    code, out, _ = run(capsys, "density", "--b", "1", "--x", "100")
-    assert code == 0 and out.splitlines()[1].split(",")[1] == "70"
-    monkeypatch.setenv(cli.THREADS_ENV, "junk")
-    code, _, err = run(capsys, "density", "--b", "1", "--x", "100")
-    assert code == 1 and "QFL_THREADS" in err
+def test_threads_env_ignored(capsys, monkeypatch):
+    monkeypatch.delenv("QFL_THREADS", raising=False)
+    code, want, _ = run(capsys, "density", "--b", "1", "--x", "100")
+    assert code == 0 and want.splitlines()[1].split(",")[1] == "70"
+    monkeypatch.setenv("QFL_THREADS", "junk")
+    assert run(capsys, "density", "--b", "1", "--x", "100") == (0, want, "")
 
 
 def test_out_file_and_thread_determinism(tmp_path, capsys):
-    base = ["chebyshev", "--b", "1", "--x", "2000", "--segment-size", "128"]
+    base = ["chebyshev", "--b", "1", "--x", "2000"]
     blobs = []
     for threads in (1, 4, 16):
         p = tmp_path / f"t{threads}.csv"

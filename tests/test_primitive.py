@@ -4,7 +4,7 @@ import math
 import pytest
 
 from quadfactor import arith, primitive, sieve
-from quadfactor.errors import CapExceededError, OutOfDomainError
+from quadfactor.errors import CapExceededError
 
 from conftest import naive_is_prime, naive_p_plus, naive_prime_set
 
@@ -126,10 +126,11 @@ def test_density_report_shape():
     assert all(0.0 <= r[2] <= 1.0 for r in rep.checkpoints)
 
 
-def test_rho_thread_determinism():
+def test_rho_thread_determinism(monkeypatch):
     spec = arith.validate_b(1)
-    a = primitive.rho(spec, 5000, [1000, 5000], segment_size=512)
     b = primitive.rho(spec, 5000, [1000, 5000])
+    monkeypatch.setattr(sieve, "SEGMENT", 512)
+    a = primitive.rho(spec, 5000, [1000, 5000])
     assert a.checkpoints == b.checkpoints
 
 
@@ -137,10 +138,11 @@ def _admissible(lo, hi):
     return [b for b in range(lo, hi + 1) if b > 0 or math.isqrt(-b) ** 2 != -b]
 
 
-def test_kernel_matches_oracle_sweep():
-    # every field of every n, n <= |b| included, across segment sizes
-    # that split the range anywhere (1, a small prime, 97, the default)
+def test_kernel_matches_oracle_sweep(monkeypatch):
+    # every field of every n, n <= |b| included, across segment lengths
+    # that split the range anywhere (1, a small prime, 97, the real one)
     xs = (1, 2, 7, 50, 700)
+    lengths = (1, 37, 97, sieve.SEGMENT)
     for b in _admissible(-150, 150):
         spec = arith.validate_b(b)
         oracle = list(primitive.classify_definitional(spec, xs[-1]))
@@ -149,12 +151,13 @@ def test_kernel_matches_oracle_sweep():
             counts = list(itertools.accumulate(st.has_primitive for st in want))
             rows = [(n, c, c / n) for n, c in enumerate(counts, 1)]
             non = [st.n for st in want if not st.has_primitive]
-            for seg in (1, 37, 97, sieve.DEFAULT_SEGMENT):
-                got = list(primitive.classify_range(spec, x, segment_size=seg))
+            for seg in lengths:
+                monkeypatch.setattr(sieve, "SEGMENT", seg)
+                got = list(primitive.classify_range(spec, x))
                 assert got == want, (b, x, seg)
                 marks = range(1, x + 1)
-                assert primitive.rho(spec, x, marks, segment_size=seg).checkpoints == rows
-                cen = primitive.non_primitive_census(spec, x, segment_size=seg)
+                assert primitive.rho(spec, x, marks).checkpoints == rows
+                cen = primitive.non_primitive_census(spec, x)
                 assert (cen.non_primitive, cen.count) == (non, len(non)), (b, x, seg)
 
 
@@ -200,5 +203,3 @@ def test_kernel_validates_before_any_segment(monkeypatch):
     for fn in (primitive.rho, primitive.non_primitive_census, primitive.classify_range):
         with pytest.raises(CapExceededError):
             fn(spec, sieve.HI_CAP)
-        with pytest.raises(OutOfDomainError):
-            fn(spec, 10, segment_size=0)

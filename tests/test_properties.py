@@ -8,6 +8,7 @@ checked so the acceptance gate can audit the totals.
 
 import random
 from math import isqrt
+from unittest import mock
 
 from quadfactor import arith, sieve, stats, stormer
 from quadfactor.sieve import SieveConfig
@@ -33,8 +34,9 @@ def run_sieve_reconstruction(seed=SEED) -> int:
         lo = rng.randrange(1, 10 ** 5)
         hi = lo + 256
         spec = arith.validate_b(b)
-        cfg = SieveConfig(lo, hi, segment_size=rng.choice((7, 64, 256)))
-        for tf in sieve.sieve_range(spec, cfg):
+        with mock.patch.object(sieve, "SEGMENT", rng.choice((7, 64, 256))):
+            terms = list(sieve.sieve_range(spec, SieveConfig(lo, hi)))
+        for tf in terms:
             assert tf.value() == tf.n * tf.n + b, (b, tf.n)
             assert tf.factors == tuple(sorted(tf.factors))
             for p, e in tf.factors:

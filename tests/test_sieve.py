@@ -1,5 +1,6 @@
 import io
 import random
+from unittest import mock
 
 import pytest
 
@@ -17,6 +18,12 @@ LIFT_POOL = (1, -2, 12, -72, 45, 2 ** 10 * 3, -1155)
 def _run(b, lo, hi, **kw):
     spec = arith.validate_b(b)
     return list(sieve.sieve_range(spec, SieveConfig(lo, hi, **kw)))
+
+
+def _run_at(seg, b, lo, hi):
+    """_run with the segment length patched to seg."""
+    with mock.patch.object(sieve, "SEGMENT", seg):
+        return _run(b, lo, hi)
 
 
 def test_sieve_primes_examples():
@@ -73,16 +80,16 @@ def test_p_plus_of_matches_oracle():
 
 
 def test_segment_independence():
-    base = _run(1, 1, 2001, segment_size=2000)
+    base = _run_at(2000, 1, 1, 2001)
     for seg in (1, 64, 4096):
-        assert _run(1, 1, 2001, segment_size=seg) == base
-    basem = _run(-3, 1, 1001, segment_size=1000)
+        assert _run_at(seg, 1, 1, 2001) == base
+    basem = _run_at(1000, -3, 1, 1001)
     for seg in (1, 64, 4096):
-        assert _run(-3, 1, 1001, segment_size=seg) == basem
+        assert _run_at(seg, -3, 1, 1001) == basem
 
 
 def test_thread_independence():
-    assert _run(1, 1, 20001, segment_size=1024) == _run(1, 1, 20001)
+    assert _run_at(1024, 1, 1, 20001) == _run(1, 1, 20001)
 
 
 def test_cofactor_prime_when_limit_covers_range():
@@ -123,8 +130,6 @@ def test_config_validation():
         SieveConfig(5, 5)
     with pytest.raises(CapExceededError):
         SieveConfig(1, 10 ** 9 + 1)
-    with pytest.raises(OutOfDomainError):
-        SieveConfig(1, 10, segment_size=0)
     with pytest.raises(OutOfDomainError):
         SieveConfig(1, 10, prime_limit=1)
     assert SieveConfig(1, 10).prime_limit == 20

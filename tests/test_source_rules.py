@@ -1,12 +1,15 @@
-"""Checks that must hold under `python -O`, a guard that keeps them so, and a
-guard that keeps the package free of third-party imports."""
+"""Checks that must hold under `python -O`, a guard that keeps them so, a
+guard that keeps the package free of third-party imports, and one that
+keeps every command-line option in use."""
 
+import argparse
 import ast
 import subprocess
 import sys
 from pathlib import Path
 
 import quadfactor
+from quadfactor import cli
 
 SRC = Path(quadfactor.__file__).parent
 
@@ -48,3 +51,22 @@ def test_package_imports_only_stdlib_and_itself():
                 if top not in sys.stdlib_module_names and top != "quadfactor":
                     offenders.append(f"{path.name}:{node.lineno}: {name}")
     assert offenders == []
+
+
+def test_every_cli_option_is_read():
+    # `--threads` is kept, and ignored, only so that existing command
+    # lines passing it still parse; nothing else may be a no-op flag
+    ignored = {"threads"}
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+    unread = []
+    for action in cli.build_parser()._actions:
+        if not isinstance(action, argparse._SubParsersAction):
+            continue
+        for name, sub in action.choices.items():
+            for opt in sub._actions:
+                if not isinstance(opt, argparse._HelpAction) and opt.dest not in read | ignored:
+                    unread.append(f"{name}: {opt.dest}")
+    assert unread == []

@@ -70,6 +70,8 @@ def test_chebyshev_preconditions():
         stats.chebyshev_report(spec, 1)
     with pytest.raises(PreconditionViolatedError):
         stats.chebyshev_report(spec, 100, K=2.0)
+    with pytest.raises(PreconditionViolatedError):  # NaN fails every comparison
+        stats.chebyshev_report(spec, 100, K=float("nan"))
 
 
 def test_sprime_primes_are_distinct_per_range():
@@ -117,7 +119,8 @@ def test_nx_against_direct_scan():
     assert dict(hist.counts) == direct
 
 
-def test_chebyshev_and_nx_match_naive_factorization():
+def test_chebyshev_and_nx_match_naive_factorization(monkeypatch):
+    lengths = (97, sieve.SEGMENT)
     for b in ORACLE_POOL:
         spec = arith.validate_b(b)
         fac = {n: naive_factorize(abs(n * n + b)) for n in range(1, 1200)}
@@ -138,16 +141,17 @@ def test_chebyshev_and_nx_match_naive_factorization():
                     if p >= 2 * x:
                         counts[p] = counts.get(p, 0) + 1
             weighted = math.fsum(c * math.log(p) for p, c in counts.items())
-            for seg in (97, sieve.DEFAULT_SEGMENT):
+            for seg in lengths:
+                monkeypatch.setattr(sieve, "SEGMENT", seg)
                 for K in (2.5, 4.0):
-                    rep = stats.chebyshev_report(spec, x, K, segment_size=seg)
+                    rep = stats.chebyshev_report(spec, x, K)
                     t = sum(1 for p in Sp if p < K * x)
                     assert (rep.s, rep.s_prime, rep.t, rep.u) == (len(S), len(Sp), t,
                                                                   len(Sp) - t), (b, x, K)
                     for got, want in ((rep.log_Qx, log_q), (rep.sum_S, sum_s),
                                       (rep.sum_Sprime, sum_sp)):
                         assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (b, x, K)
-                hist = stats.nx_histogram(spec, x, segment_size=seg)
+                hist = stats.nx_histogram(spec, x)
                 assert hist.counts == counts, (b, x)
                 assert hist.total == sum(counts.values())
                 assert hist.weighted == pytest.approx(weighted, rel=1e-12, abs=1e-12)
@@ -233,11 +237,11 @@ def test_mertens_drift_stabilizes():
     assert abs(d5 - d7) < 0.01
 
 
-def test_stats_thread_determinism():
+def test_stats_thread_determinism(monkeypatch):
     spec = arith.validate_b(1)
-    a = stats.chebyshev_report(spec, 3000, 4.0, segment_size=256)
     b = stats.chebyshev_report(spec, 3000, 4.0)
-    assert a == b
-    ha = stats.nx_histogram(spec, 2000, segment_size=128)
     hb = stats.nx_histogram(spec, 2000)
-    assert ha == hb
+    monkeypatch.setattr(sieve, "SEGMENT", 256)
+    assert stats.chebyshev_report(spec, 3000, 4.0) == b
+    monkeypatch.setattr(sieve, "SEGMENT", 128)
+    assert stats.nx_histogram(spec, 2000) == hb

@@ -193,6 +193,16 @@ def test_small_digit_cap_flags_truncation():
     assert 1 in res.solutions  # x_1 = 1 still fits
 
 
+def test_search_rejects_cutoffs_below_one():
+    # a cutoff below 1 would walk no chain and report an empty, untruncated answer
+    for kw in ({"k_max_override": -5}, {"k_max_override": 0},
+               {"digit_cap": -1}, {"digit_cap": 0}):
+        with pytest.raises(PreconditionViolatedError):
+            stormer.stormer_search(14, **kw)
+    # k_max = 1 is allowed and keeps only the fundamentals: 7 is x_3 for D = 2
+    assert stormer.stormer_search(6, k_max_override=1).solutions == [1, 2, 3]
+
+
 @pytest.mark.slow
 def test_stormer_B101_reproduces_published_maximum():
     res = stormer.stormer_search(101)
