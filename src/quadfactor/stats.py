@@ -21,14 +21,22 @@ L = min(2x, isqrt(x^2 + |b|) + 1): below the cap every |n^2 + b| is
 under L^2, so a cofactor is one prime, and the cofactor primes in
 (L, 2x) join S by value.
 
+Every float sum is one math.fsum, which is correctly rounded whatever
+the order of its terms (Shewchuk, Discrete Comput. Geom. 18, 1997).
+A report is thus the exactly rounded sum of its terms, log |n^2 + b|,
+e_p log p, N_x(p) log p or 1/p, and cannot depend on the segment
+length or on the order in which primes are met.
+
 chowla_todd_density() counts m <= x whose greatest prime factor exceeds
 2*sqrt(m) (density log 2) from prime counts, and mertens_sum() adds 1/p
 over the primes below x; both read one segmented prime sieve (arith).
 """
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, groupby
+from itertools import accumulate, chain, compress
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from . import arith, sieve
@@ -37,39 +45,13 @@ from .errors import OutOfDomainError, PreconditionViolatedError, WindowOutOfRang
 from .sieve import SieveConfig
 
 
-class _Kahan:
-    """Compensated accumulator; deterministic for a fixed add order."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, v: float) -> None:
-        y = v - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-
-    def extend(self, vs) -> None:
-        """add() each value in order, with the running state in locals."""
-        total, c = self.total, self._c
-        for v in vs:
-            y = v - c
-            t = total + y
-            c = (t - total) - y
-            total = t
-        self.total, self._c = total, c
-
-
 @dataclass(frozen=True)
 class ChebyshevReport:
     x: int
     K: float
     log_Qx: float
     sum_S: float       # sum of e_p log p over primes p < 2x dividing Q_x
-    sum_Sprime: float  # same over p >= 2x (where every exponent is 1)
+    sum_Sprime: float  # same over p >= 2x; each divides one term (e_p may be > 1)
     s: int
     s_prime: int
     t: int             # primes in (2x, Kx)
@@ -106,45 +88,40 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
     limit = min(bound, arith.isqrt(x * x + abs(spec.b)) + 1)
     cfg = SieveConfig(1, x + 1, prime_limit=limit)
     exps: Dict[int, int] = {}
-    # Cofactor primes exceed the sieve limit L, so they sort after every
-    # key of exps; about 630k of them at x = 10^6, mostly with exponent 1,
-    # which a list of ints holds in far less memory than dict entries.
-    # Those below 2x still belong to S, by value, in the loop below.
-    above: List[int] = []
+    # A prime p >= 2x divides at most one term with n <= x, since two such
+    # terms would need n1 + n2 = p.  So the S' primes need no merging: a
+    # one-prime cofactor joins the list sprime with exponent 1 (about 630k
+    # at x = 10^6, far cheaper in a list than as dict entries), and the
+    # primes of a split cofactor join split with their exponents.
+    # Cofactor primes in (L, 2x) can repeat, so they join exps.
+    sprime: List[int] = []
+    split: Dict[int, int] = {}
     single = limit * limit  # a cofactor up to this is one prime
-    log_q = _Kahan()
-    for vals, rem, seg_exps in sieve.slice_range(spec, cfg):
-        log_q.extend([math.log(av) for av in vals if av > 1])
-        for p, e in seg_exps.items():
-            exps[p] = exps.get(p, 0) + e
-        for c in rem:
-            if c > single:
-                for p, e in _split_cofactor(c, limit):
-                    above.extend([p] * e)
-            elif c > 1:
-                above.append(c)
-    above.sort()
-    ascending = chain(sorted(exps.items()),
-                      ((p, len(list(run))) for p, run in groupby(above)))
 
+    def logs():
+        """Per segment, collect the primes of S and S', then yield the terms' logs."""
+        for vals, rem, seg_exps in sieve.slice_range(spec, cfg):
+            for p, e in seg_exps.items():
+                exps[p] = exps.get(p, 0) + e
+            for c in rem:
+                if c > single:  # only when L = 2x, so every prime is >= 2x
+                    split.update(_split_cofactor(c, limit))
+                elif c >= bound:
+                    sprime.append(c)
+                elif c > 1:
+                    exps[c] = exps.get(c, 0) + 1
+            yield map(math.log, vals)
+
+    # One fsum over all terms rounds once, so no segment length can show.
+    log_q = math.fsum(chain.from_iterable(logs()))
+    sum_sp = math.fsum(chain(map(math.log, sprime),
+                             map(mul, split.values(), map(math.log, split))))
+    s_prime = len(sprime) + len(split)
     kx = K * x
-    sum_s = _Kahan()
-    sum_sp = _Kahan()
-    s = s_prime = t = u = 0
-    for p, e in ascending:
-        w = e * math.log(p)
-        if p < bound:
-            sum_s.add(w)
-            s += 1
-        else:
-            sum_sp.add(w)
-            s_prime += 1
-            if p < kx:
-                t += 1
-            else:
-                u += 1
-    return ChebyshevReport(x, K, log_q.total, sum_s.total, sum_sp.total,
-                           s, s_prime, t, u)
+    t = sum(p < kx for p in chain(sprime, split))
+    return ChebyshevReport(x, K, log_q,
+                           math.fsum(map(mul, exps.values(), map(math.log, exps))),
+                           sum_sp, len(exps), s_prime, t, s_prime - t)
 
 
 def nx_histogram(spec: SequenceSpec, x: int) -> NxHistogram:
@@ -164,10 +141,8 @@ def nx_histogram(spec: SequenceSpec, x: int) -> NxHistogram:
             if c > 1:
                 for p, _ in _split_cofactor(c, limit):
                     counts[p] = counts.get(p, 0) + 1
-    weighted = _Kahan()
-    for p in sorted(counts):
-        weighted.add(counts[p] * math.log(p))
-    return NxHistogram(x, counts, sum(counts.values()), weighted.total)
+    return NxHistogram(x, counts, sum(counts.values()),
+                       math.fsum(map(mul, counts.values(), map(math.log, counts))))
 
 
 def vx(spec: SequenceSpec, x: int, v: float, *,
@@ -194,30 +169,40 @@ def _chowla_todd_counts(marks: List[int]) -> List[int]:
 
     Such m are exactly p*s with p prime and p > 4s, so the count to X is
     the sum over 4s^2 < X of pi(X//s) - pi(4s).  One segmented prime sieve
-    to the last mark takes pi at all query points, in ascending order.
+    to the last mark gives pi: a prefix-count table of its first segment
+    answers the query points below that segment's end, nearly all of them,
+    and a running count over the later segments takes the rest in
+    ascending order.
     """
     s_max = [arith.isqrt((X - 1) // 4) for X in marks]  # largest s with 4s^2 < X
-    points = sorted({X // s for X, m in zip(marks, s_max) for s in range(1, m + 1)}
-                    | set(range(4, 4 * s_max[-1] + 1, 4)), reverse=True)
-    pi: Dict[int, int] = {}
-    primes = 0
-    for lo, flags in arith._prime_segments(marks[-1]):
+    segments = arith._prime_segments(marks[-1])
+    _, flags = next(segments)
+    head = array("i", accumulate(flags))  # head[q] = pi(q) for q < n
+    n = len(head)
+    far = sorted({X // s for X, m in zip(marks, s_max) for s in range(1, min(m, X // n) + 1)}
+                 | set(range(-(-n // 4) * 4, 4 * s_max[-1] + 1, 4)), reverse=True)
+    pi_far: Dict[int, int] = {}
+    primes = head[-1]
+    for lo, flags in segments:
         pos = 0
-        while points and points[-1] - lo < len(flags):
-            q = points.pop()
+        while far and far[-1] - lo < len(flags):
+            q = far.pop()
             primes += flags.count(1, pos, q - lo + 1)
-            pi[q] = primes
+            pi_far[q] = primes
             pos = q - lo + 1
         primes += flags.count(1, pos)
-    return [sum(pi[X // s] - pi[4 * s] for s in range(1, m + 1))
+
+    def pi(q: int) -> int:
+        return head[q] if q < n else pi_far[q]
+
+    return [sum(pi(X // s) - pi(4 * s) for s in range(1, m + 1))
             for X, m in zip(marks, s_max)]
 
 
 def mertens_sum(x: int) -> float:
-    """Sum of 1/p over primes p < x, accumulated in ascending order."""
+    """Sum of 1/p over primes p < x, correctly rounded (math.fsum)."""
     if x < 3:
         raise OutOfDomainError("x must be >= 3")
-    acc = _Kahan()
-    for lo, flags in arith._prime_segments(x - 1):
-        acc.extend([1.0 / p for p in compress(range(lo, lo + len(flags)), flags)])
-    return acc.total
+    return math.fsum(chain.from_iterable(
+        map((1.0).__truediv__, compress(range(lo, lo + len(flags)), flags))
+        for lo, flags in arith._prime_segments(x - 1)))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +14,9 @@ from conftest import (li, naive_chowla_todd_count, naive_factorize, naive_p_plus
 # p = 2 and p | b, p^2 | b, b < 0 with negative terms; -73600 puts every
 # n <= 156 in the sieve's oracle zone (3n^2 <= |b|).  chebyshev_report
 # sieves to L = min(2x, isqrt(x^2 + |b|) + 1): 504 and 2204 have L < 2x at
-# x = 77 and 600, 999999 has L = 2x for x <= 156 and L < 2x at 600.
-ORACLE_POOL = (1, -2, 2, 12, -72, 15, -73600, 504, 2204, 999999)
+# x = 77 and 600, 999999 has L = 2x for x <= 156 and L < 2x at 600.  At
+# b = 24, x = 2 the cofactor 25 = 5^2 puts an exponent 2 into S'.
+ORACLE_POOL = (1, -2, 2, 12, -72, 15, 24, -73600, 504, 2204, 999999)
 # Chowla-Todd and Mertens marks; the prime sieve runs in segments of 2^18,
 # so the last three straddle a segment edge
 EDGE_MARKS = [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17, 2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1]
@@ -120,6 +122,7 @@ def test_nx_against_direct_scan():
 
 
 def test_chebyshev_and_nx_match_naive_factorization(monkeypatch):
+    # both sides are math.fsum of the same float terms, so they are equal
     lengths = (97, sieve.SEGMENT)
     for b in ORACLE_POOL:
         spec = arith.validate_b(b)
@@ -148,13 +151,28 @@ def test_chebyshev_and_nx_match_naive_factorization(monkeypatch):
                     t = sum(1 for p in Sp if p < K * x)
                     assert (rep.s, rep.s_prime, rep.t, rep.u) == (len(S), len(Sp), t,
                                                                   len(Sp) - t), (b, x, K)
-                    for got, want in ((rep.log_Qx, log_q), (rep.sum_S, sum_s),
-                                      (rep.sum_Sprime, sum_sp)):
-                        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (b, x, K)
+                    assert (rep.log_Qx, rep.sum_S, rep.sum_Sprime) == (log_q, sum_s,
+                                                                       sum_sp), (b, x, K)
                 hist = stats.nx_histogram(spec, x)
                 assert hist.counts == counts, (b, x)
                 assert hist.total == sum(counts.values())
-                assert hist.weighted == pytest.approx(weighted, rel=1e-12, abs=1e-12)
+                assert hist.weighted == weighted, (b, x)
+
+
+def test_sums_are_correctly_rounded():
+    # Cases where a compensated (Kahan) sum in ascending p is one unit off:
+    # each report equals the exact rational sum of its float terms, rounded
+    # once.
+    b, x = 999999, 100
+    exps = {}
+    for n in range(1, x + 1):
+        for p, e in naive_factorize(n * n + b):
+            exps[p] = exps.get(p, 0) + e
+    exact = float(sum(Fraction(e * math.log(p)) for p, e in exps.items() if p < 2 * x))
+    assert stats.chebyshev_report(arith.validate_b(b), x).sum_S == exact == 650.8999062252159
+    # nx at b = 10^9, x = 2: 2^2 + b = 2^2 * 41^2 * 148721, 3^2 + b = 1000000009
+    exact = float(sum(Fraction(math.log(p)) for p in (41, 148721, 1000000009)))
+    assert stats.nx_histogram(arith.validate_b(10 ** 9), 2).weighted == exact == 36.34666525906862
 
 
 def test_vx_examples():
@@ -213,10 +231,10 @@ def test_mertens_matches_schoolbook_sieve():
     for x in range(3, 10 ** 4 + 1):
         if flags[x - 1]:
             recips.append(1.0 / (x - 1))
-        assert stats.mertens_sum(x) == pytest.approx(math.fsum(recips), rel=1e-15, abs=0), x
+        assert stats.mertens_sum(x) == math.fsum(recips), x
     for x in EDGE_MARKS:
         want = math.fsum(1.0 / p for p in range(x) if flags[p])
-        assert stats.mertens_sum(x) == pytest.approx(want, rel=1e-15, abs=0), x
+        assert stats.mertens_sum(x) == want, x
 
 
 def test_mertens_examples():
@@ -238,10 +256,17 @@ def test_mertens_drift_stabilizes():
 
 
 def test_stats_thread_determinism(monkeypatch):
+    # reports equal to the last bit at any segment length: adding up
+    # per-segment partial sums would move log_Qx at x = 10^5 with 100 segments
     spec = arith.validate_b(1)
     b = stats.chebyshev_report(spec, 3000, 4.0)
     hb = stats.nx_histogram(spec, 2000)
+    big = stats.chebyshev_report(spec, 10 ** 5)
+    hbig = stats.nx_histogram(spec, 2 * 10 ** 4)
     monkeypatch.setattr(sieve, "SEGMENT", 256)
     assert stats.chebyshev_report(spec, 3000, 4.0) == b
     monkeypatch.setattr(sieve, "SEGMENT", 128)
     assert stats.nx_histogram(spec, 2000) == hb
+    monkeypatch.setattr(sieve, "SEGMENT", 1000)
+    assert stats.chebyshev_report(spec, 10 ** 5) == big
+    assert stats.nx_histogram(spec, 2 * 10 ** 4) == hbig
