@@ -25,7 +25,7 @@ import sys
 from typing import List, Optional
 
 from . import arith, constants, primitive, sieve, stats, stormer
-from .errors import Error
+from .errors import Error, PreconditionViolatedError
 from .svg import render_svg
 
 
@@ -59,7 +59,9 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _checkpoint_grid(x: int, n: int) -> List[int]:
-    if n <= 1:
+    if n < 1:
+        raise PreconditionViolatedError("checkpoints must be >= 1")
+    if n == 1:
         return [x]
     marks = sorted({max(1, round(i * x / n)) for i in range(1, n + 1)})
     if marks[-1] != x:

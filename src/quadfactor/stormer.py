@@ -14,16 +14,31 @@ exposed as an override.
 The fundamental solution needs half the continued-fraction period of
 sqrt(D), which is palindromic (Jacobson-Williams, Solving the Pell
 Equation, 2009).  With complete quotients (P_i + sqrt(D)) / Q_i and
-convergents p_i / q_i, P_{i+1} = P_i means an even period and no
-solution, and Q_{i+1} = Q_i the odd period 2i + 1 with x_1 = p_i q_i +
-p_{i-1} q_{i-1}, y_1 = q_i^2 + q_{i-1}^2 (D = a^2 + 1 gives (a, 1)).
+convergents p_i / q_i, P_{i+1} = P_i at i = m means the even period 2m
+and no solution, and Q_{i+1} = Q_i at i = m the odd period 2m + 1 with
+y_1 = q_m^2 + q_{m-1}^2 (D = a^2 + 1 gives (a, 1)).  The expansion runs
+in two passes.  Pass 1 runs the (P, Q, a) recurrence on small integers
+(0 < P < sqrt(D), 0 < Q < 2 sqrt(D)) and records the partial quotients
+a_1, ..., a_m; an even period ends it with no big integer made.  Pass 2,
+for odd periods only, builds q_m and q_{m-1} from them, one big
+multiply per quotient.  x_1 = isqrt(D y_1^2 - 1) is recovered, and
+checked, only for a y_1 that survives the prune below.
+
+The digit cap bounds p_i q_i, which grows with i.  Since p_i >= q_i >=
+F_{i+1} >= phi^(i-1) (Fibonacci, golden ratio), some p_i q_i has passed
+the cap once i reaches a step bound M fixed by the cap alone, and pass 1
+gives up at M quotients.  For an odd period the last convergent
+decides: p_m^2 = D q_m^2 + (-1)^(m+1) Q_{m+1}, and a square of bit
+length b has a root of bit length ceil(b/2), so p_m q_m is bounded with
+no square root taken.
 
 The prune: (x_1 + y_1 sqrt(D))^k = x_k + y_k sqrt(D) makes y_k the sum
 over odd j of C(k, j) x_1^(k-j) y_1^j D^((j-1)/2), so y_1 | y_k, and a
 y_1 with a prime factor >= B rules out the whole chain.  Arithmetic is
-exact; a digit cap bounds x_1 and the chain elements, and truncated_Ds
-lists the D whose search is incomplete: the convergents prove x_1 past
-the cap, or y_1 is B-smooth and the chain reaches the cap before K_max.
+exact.  truncated_Ds lists the D whose search is incomplete: the period
+was not settled within M quotients, or p_m q_m (and so x_1, which
+exceeds it) passes the cap, or y_1 is B-smooth and the chain reaches the
+cap before K_max.  An even period found within M quotients is settled.
 """
 
 from dataclasses import dataclass
@@ -35,6 +50,7 @@ from . import arith
 from .errors import CapExceededError, PreconditionViolatedError
 
 DEFAULT_DIGIT_CAP = 10 ** 4
+_LOG2_PHI = 0.6942419136306174  # log2 of the golden ratio
 
 
 @dataclass(frozen=True)
@@ -82,32 +98,84 @@ def _cap_bits(digit_cap: int) -> int:
     return int(digit_cap * 3.3219280948873626) + 16  # log2(10) bits per digit
 
 
-def _cf_fundamental(D: int, cap_bits: Optional[int]):
-    """(x1, y1) or None; CapExceededError once p_i q_i <= x1 exceeds cap_bits."""
+def _max_quotients(cap_bits: int) -> int:
+    """A quotient count m by which p_m q_m has surely passed cap_bits.
+
+    p_m >= q_m >= F_{m+1} >= phi^(m-1), so the per-step test
+    p_m.bit_length() + q_m.bit_length() - 1 > cap_bits holds once
+    (m - 1) log2(phi) >= (cap_bits + 1) / 2.
+    """
+    return int((cap_bits + 1) / (2 * _LOG2_PHI)) + 2
+
+
+def _half_period(D: int, max_quotients: int):
+    """Pass 1, on small integers: ([a_1, ..., a_m], Q_m) for the odd period
+    2m + 1 of sqrt(D) (Q_m = Q_{m+1}), or None for an even period or a
+    square D.
+
+    Q_{i+1} = Q_{i-1} + a_i (P_i - P_{i+1}) with Q_{-1} = D saves the
+    division in Q_{i+1} = (D - P_{i+1}^2) / Q_i.  CapExceededError once m
+    reaches max_quotients.
+    """
     a0 = isqrt(D)
     if a0 * a0 == D:
         return None
-    P, Q, a = 0, 1, a0
-    p0, p1, q0, q1 = 1, a0, 0, 1  # p_{i-1}, p_i, q_{i-1}, q_i
-    while True:
+    P, Q, Q_prev, a = 0, 1, D, a0
+    quotients = []
+    append = quotients.append
+    for _ in range(max_quotients):
         P_next = a * Q - P
         if P_next == P:
             return None
-        Q_next = (D - P_next * P_next) // Q
+        Q_next = Q_prev + a * (P - P_next)
         if Q_next == Q:
-            return p1 * q1 + p0 * q0, q1 * q1 + q0 * q0
-        P, Q, a = P_next, Q_next, (a0 + P_next) // Q_next
-        p0, p1 = p1, a * p1 + p0
+            return quotients, Q
+        Q_prev = Q
+        a = (a0 + P_next) // Q_next
+        P, Q = P_next, Q_next
+        append(a)
+    raise CapExceededError(f"continued fraction of sqrt({D}) passed the digit cap")
+
+
+def _fundamental_y(D: int, cap_bits: Optional[int], max_quotients: int) -> Optional[int]:
+    """y_1 of the fundamental solution, or None; CapExceededError once the
+    half period reaches max_quotients or p_m q_m passes cap_bits."""
+    half = _half_period(D, max_quotients)
+    if half is None:
+        return None
+    quotients, Q = half
+    q0, q1 = 0, 1  # q_{i-1}, q_i
+    for a in quotients:
         q0, q1 = q1, a * q1 + q0
-        if cap_bits is not None and p1.bit_length() + q1.bit_length() - 1 > cap_bits:
+    qq = q1 * q1
+    if cap_bits is not None and quotients:
+        pp = D * qq + (Q if len(quotients) % 2 else -Q)  # p_m^2
+        if (pp.bit_length() + 1) // 2 + q1.bit_length() - 1 > cap_bits:
             raise CapExceededError(f"continued fraction of sqrt({D}) passed the digit cap")
+    return qq + q0 * q0
+
+
+def _x_from_y(D: int, y: int) -> int:
+    """x with x^2 = D y^2 - 1; ArithmeticError if D y^2 - 1 is no square."""
+    xx = D * y * y - 1
+    x = isqrt(xx)
+    if x * x != xx:
+        raise ArithmeticError(f"{D} * {y}^2 - 1 is not a square")
+    return x
 
 
 def negative_pell_fundamental(D: int, digit_cap: Optional[int] = None):
     """Least (x, y) > 0 with x^2 - D y^2 = -1, or None; CapExceededError past digit_cap."""
     if D < 2:
         raise PreconditionViolatedError("D must be >= 2")
-    return _cf_fundamental(D, None if digit_cap is None else _cap_bits(digit_cap))
+    if digit_cap is None:
+        # the half period is below D: a reduced complete quotient has
+        # 0 < P <= a_0 and 0 < Q <= 2 a_0, so the period is at most 2 a_0^2
+        y = _fundamental_y(D, None, D)
+    else:
+        cap_bits = _cap_bits(digit_cap)
+        y = _fundamental_y(D, cap_bits, _max_quotients(cap_bits))
+    return None if y is None else (_x_from_y(D, y), y)
 
 
 def pell_solutions_odd(D: int, fundamental: Tuple[int, int], k_max: int,
@@ -168,18 +236,19 @@ def stormer_search(B: int, k_max_override: Optional[int] = None,
     allowed = allowed_primes(B)
     small = arith.primes_upto(B - 1)
     cap_bits = _cap_bits(digit_cap)
+    max_quotients = _max_quotients(cap_bits)
 
     found: Set[int] = set()
     truncated: List[int] = []
     for D in enumerate_D(B):
         try:
-            fund = _cf_fundamental(D, cap_bits)
+            y1 = _fundamental_y(D, cap_bits, max_quotients)
         except CapExceededError:
             truncated.append(D)
             continue
-        if fund is None or _reduce_by(fund[1], allowed) != 1:
+        if y1 is None or _reduce_by(y1, allowed) != 1:
             continue
-        chain = pell_solutions_odd(D, fund, k_max, digit_cap)
+        chain = pell_solutions_odd(D, (_x_from_y(D, y1), y1), k_max, digit_cap)
         if len(chain) < (k_max + 1) // 2:
             truncated.append(D)
         for sol in chain:

@@ -154,6 +154,10 @@ def test_exit_codes(capsys):
                  ["stormer", "--bound", "14", "--kmax", "0"],
                  ["stormer", "--bound", "14", "--digit-cap", "-1"],
                  ["stormer", "--bound", "14", "--digit-cap", "0"],
+                 ["density", "--b", "1", "--x", "100", "--checkpoints", "0"],
+                 ["density", "--b", "1", "--x", "100", "--checkpoints", "-3"],
+                 ["chowla-todd", "--x", "100", "--checkpoints", "0"],
+                 ["chowla-todd", "--x", "100", "--checkpoints", "-3"],
                  ["chebyshev", "--b", "1", "--x", "100", "--K", "nan"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("computation error:"), argv

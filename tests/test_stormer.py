@@ -66,6 +66,33 @@ def test_negative_pell_fundamentals():
     assert x * x - 29 * y * y == -1
 
 
+def naive_half_period(D):
+    """floor(L / 2) for the period L of the continued fraction of sqrt(D),
+    counted over the whole period with the plain recurrence (0 for a square)."""
+    a0 = arith.isqrt(D)
+    if a0 * a0 == D:
+        return 0
+    m, d, a = 0, 1, a0
+    period = 0
+    while True:
+        m = d * a - m
+        d = (D - m * m) // d
+        a = (a0 + m) // d
+        period += 1
+        if d == 1:
+            return period // 2
+
+
+def fibonacci_step_bound(cap_bits):
+    """Least m with 2 bit_length(F_{m+1}) - 1 > cap_bits.  Since p_m >= q_m
+    >= F_{m+1}, by index m some p_i q_i has passed the per-step cap test
+    bit_length(p_i) + bit_length(q_i) - 1 > cap_bits."""
+    m, f, f_next = 0, 1, 1  # F_{m+1}, F_{m+2}
+    while 2 * f.bit_length() - 1 <= cap_bits:
+        m, f, f_next = m + 1, f_next, f + f_next
+    return m
+
+
 @pytest.fixture(scope="module")
 def pell_oracle():
     """Full-period fundamentals for every 2 <= D < 3000 (squares, even
@@ -79,15 +106,24 @@ def test_negative_pell_matches_full_period_oracle(pell_oracle):
         assert stormer.negative_pell_fundamental(D) == want, D
 
 
+def test_quotient_bound_is_a_fibonacci_bound():
+    # sound: never below the Fibonacci bound; tight: at most two past it
+    for cap_bits in list(range(1, 400)) + [stormer._cap_bits(c) for c in (1, 3, 10, 10 ** 4)]:
+        exact = fibonacci_step_bound(cap_bits)
+        assert exact <= stormer._max_quotients(cap_bits) <= exact + 2, cap_bits
+
+
 @pytest.mark.parametrize("digit_cap", [1, 3, 10])
 def test_digit_cap_flags_only_fundamentals_past_the_cap(pell_oracle, digit_cap):
-    # The expansion stops once some p_i q_i passes the cap.  Every p_i q_i
-    # checked is at most x_1 = p q + p' q' < 2 p q (the last two
-    # convergents), so an x_1 within the cap always comes back and one more
-    # than two bits past it never does; D = a^2 + 1 returns (a, 1) before
-    # any check.  An even period has no x_1 and may stop either way.
+    # An odd period is refused exactly when its last convergents have
+    # p_m q_m past the cap, and x_1 = p_m q_m + p_{m-1} q_{m-1} < 2 p_m q_m,
+    # so an x_1 within the cap always comes back and one more than two bits
+    # past it never does; D = a^2 + 1 returns (a, 1) before any check.  An
+    # even period always gives None, unless its half period reaches the
+    # Fibonacci step bound, where the expansion may stop first.
     cap_bits = stormer._cap_bits(digit_cap)
-    refused = 0
+    bound = fibonacci_step_bound(cap_bits)
+    refused = unsolvable = 0
     for D, want in pell_oracle.items():
         bits = 0 if want is None else want[0].bit_length()
         if bits > cap_bits + 2 and want[0] != arith.isqrt(D):
@@ -95,15 +131,18 @@ def test_digit_cap_flags_only_fundamentals_past_the_cap(pell_oracle, digit_cap):
                 stormer.negative_pell_fundamental(D, digit_cap)
             refused += 1
             continue
+        if want is None and naive_half_period(D) < bound:
+            assert stormer.negative_pell_fundamental(D, digit_cap) is None, D
+            unsolvable += 1
+            continue
         try:
             assert stormer.negative_pell_fundamental(D, digit_cap) == want, D
         except CapExceededError:
-            assert want is None or bits > cap_bits, D
-    assert refused > 0
+            assert bits > cap_bits if want else naive_half_period(D) >= bound, D
+    assert refused > 0 and unsolvable > 0
 
 
-def test_prune_walks_only_chains_with_smooth_y1(monkeypatch):
-    B = 42
+def test_prune_walks_only_chains_with_smooth_y1(monkeypatch, pell_oracle):
     walked = []
     walk = stormer.pell_solutions_odd
 
@@ -113,26 +152,33 @@ def test_prune_walks_only_chains_with_smooth_y1(monkeypatch):
         return chain
 
     monkeypatch.setattr(stormer, "pell_solutions_odd", recording)
-    oracle = {D: naive_negative_pell(D) for D in stormer.enumerate_D(B)}
-    smooth_y1 = [D for D, f in oracle.items() if f is not None and naive_is_smooth(f[1], B)]
-    res = stormer.stormer_search(B)
-    assert [D for D, _, _, _ in walked] == smooth_y1
-    assert res.truncated_Ds == []
-    for D, (x1, y1), _, chain in walked:
-        assert (x1, y1) == oracle[D]
-        for sol in chain:
-            assert sol.y % y1 == 0, (D, sol.k)
-
-    # Under a tight cap a D is truncated only when its expansion stopped
-    # with x_1 (if any) past the cap, or its chain stops before k_max.
-    walked.clear()
     cap_bits = stormer._cap_bits(3)
-    res = stormer.stormer_search(B, digit_cap=3)
-    assert {D for D, _, _, _ in walked} <= set(smooth_y1)
-    short = {D for D, _, k_max, chain in walked if len(chain) < (k_max + 1) // 2}
-    assert res.truncated_Ds
-    for D in res.truncated_Ds:
-        assert D in short or oracle[D] is None or oracle[D][0].bit_length() > cap_bits, D
+    bound = fibonacci_step_bound(cap_bits)
+    for B in (42, 74):
+        walked.clear()
+        oracle = {D: pell_oracle[D] for D in stormer.enumerate_D(B)}
+        smooth_y1 = [D for D, f in oracle.items()
+                     if f is not None and naive_is_smooth(f[1], B)]
+        res = stormer.stormer_search(B)
+        assert [D for D, _, _, _ in walked] == smooth_y1, B
+        assert res.truncated_Ds == [], B
+        for D, (x1, y1), _, chain in walked:
+            assert (x1, y1) == oracle[D]
+            for sol in chain:
+                assert sol.y % y1 == 0, (D, sol.k)
+
+        # Under a tight cap a D is truncated only when its x_1 is past the
+        # cap, its even period reaches the Fibonacci step bound, or its
+        # chain stops before k_max.
+        walked.clear()
+        res = stormer.stormer_search(B, digit_cap=3)
+        assert {D for D, _, _, _ in walked} <= set(smooth_y1), B
+        short = {D for D, _, k_max, chain in walked if len(chain) < (k_max + 1) // 2}
+        assert res.truncated_Ds, B
+        for D in res.truncated_Ds:
+            f = oracle[D]
+            assert (D in short or (f is not None and f[0].bit_length() > cap_bits)
+                    or (f is None and naive_half_period(D) >= bound)), (B, D)
 
 
 def test_pell_chain_examples():
