@@ -49,7 +49,7 @@ def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for all m < 2^64."""
     if m < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if m % p == 0:
             return m == p
     d = m - 1

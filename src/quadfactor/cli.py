@@ -202,8 +202,10 @@ def _cmd_nx(args) -> str:
 
 
 def _cmd_chowla_todd(args) -> str:
+    if args.x < 2:
+        raise PreconditionViolatedError("x must be >= 2")
     marks = [m for m in _checkpoint_grid(args.x, args.checkpoints) if m >= 2]
-    counts = stats._chowla_todd_counts(marks) if marks else []
+    counts = stats._chowla_todd_counts(marks)
     rows = [[m, c, c / m] for m, c in zip(marks, counts)]
     if args.format == "csv":
         return _csv(rows, ["x", "count", "ratio"])

@@ -18,12 +18,9 @@ root is computed:
   start and divided out of each of their hits in a loop; they are new
   only at their least root.
 * Any other prime q left over at n registers its roots n and q - n,
-  lifted by Hensel's lemma to every q^k <= x^2 + |b|.  A modulus below
-  the fixed segment length sieve.SEGMENT becomes one strided slice
-  division per segment; a larger one waits in the bucket of the
-  segment where it next hits (Oliveira e Silva, Herzog and Pardi,
-  Math. Comp. 83, 2014).  A prime with q - n > x never recurs in range
-  and is not registered.
+  lifted by Hensel's lemma to every q^k <= x^2 + |b|, with the division
+  scheduler of sieve, from their first hits after n.  A prime with
+  q - n > x never recurs in range and is not registered.
 * Once 3n^2 > |b|, |P_n| < 4n^2, so the leftover is 1 or a single prime
   above 2n.  Below that (the oracle zone) it is factored by arith.
 
@@ -103,41 +100,12 @@ def _first_hits(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
     roots = {2: b % 2}  # fallback prime -> its root mod p
     roots.update((p, 0) for p, _ in arith.factorize(abs(b)) if p <= x)
     first = {r or p: p for p, r in roots.items() if (r or p) <= x}  # least root -> p
-    strided = []  # (p^k, root, p) with p^k below the segment length
-    buckets = {}  # segment start -> [(next hit, p^k, p), ...]
-
-    def register(q, n):
-        """Divide q out of every later term: its hits after n, per power."""
-        for pk, r in _hensel_levels(q, n, b, top):
-            m = r if r > n else r + pk  # every root of q^k is >= n
-            if m > x:
-                continue
-            if pk < size:
-                if m < hi:
-                    rem[m - lo::pk] = [v // q for v in rem[m - lo::pk]]
-                strided.append((pk, r, q))
-                continue
-            if m < hi:  # pk >= size: at most one hit per segment
-                rem[m - lo] //= q
-                m += pk
-                if m > x:
-                    continue
-            buckets.setdefault(m - (m - 1) % size, []).append((m, pk, q))
+    add, divide = sieve._scheduler(1, x + 1)
 
     for lo in range(1, x + 1, size):
         hi = min(lo + size, x + 1)
-        if lo * lo + b < 0:
-            rem = [abs(n * n + b) for n in range(lo, hi)]
-        else:
-            rem = [n * n + b for n in range(lo, hi)]
-        for pk, r, q in strided:
-            s = (r - lo) % pk
-            rem[s::pk] = [v // q for v in rem[s::pk]]
-        for m, pk, q in buckets.pop(lo, ()):
-            rem[m - lo] //= q
-            m += pk
-            if m <= x:
-                buckets.setdefault(m - (m - 1) % size, []).append((m, pk, q))
+        rem = sieve._values(b, lo, hi)
+        divide(rem, lo)
         for p, r in roots.items():
             for i in range((r - lo) % p, hi - lo, p):
                 v = rem[i] // p  # p divides every term at its root
@@ -152,11 +120,11 @@ def _first_hits(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
                 split[n] = qs = [q for q, _ in arith.factorize(v)]
                 for q in qs:
                     if q - n <= x:
-                        register(q, n)
+                        add(q, _hensel_levels(q, n, b, top), n + 1)
         start = max(lo, cut + 1)
         for n, v in enumerate(islice(rem, start - lo, None), start):
             if 1 < v <= n + x:  # a new prime q with q - n <= x recurs in range
-                register(v, n)
+                add(v, _hensel_levels(v, n, b, top), n + 1)
 
         for n, p in first.items():
             if lo <= n < hi:

@@ -13,30 +13,31 @@ factored by the oracle instead).  Smaller limits are allowed, e.g. for
 smoothness scans, in which case the cofactor is merely a product of
 primes above the limit.
 
-The kernels here and in primitive scan [lo, hi) in segments of the one
-fixed length SEGMENT (read at run time, so a test can patch it in).
-Segments are stateless: per-segment hit offsets are recomputed by
-modular arithmetic, so the output does not depend on the length, and
-the memory of a segment is a constant.
+The kernels here and in primitive scan [lo, hi) in ascending segments
+of the one fixed length SEGMENT (read at run time, so a test can patch
+it in); the output does not depend on the length.
 
-Two kernels share the root sets of sieve_primes:
+sieve_range streams one TermFactorization per n, dividing each hit of
+each root mod p in a loop; it serves only the raw `sieve` dump.
 
-* sieve_range streams one TermFactorization per n, dividing each hit
-  in a loop; it now serves only the raw `sieve` dump (the
-  primitive-divisor count finds its primes itself, in primitive).
-* slice_range, for the aggregate statistics, builds no per-term
-  record.  Each root mod p of an odd p not dividing b is lifted by
-  Hensel's lemma (_hensel_levels, shared with primitive) to the root
-  mod p^k for every p^k up to the largest |n^2 + b|; p^k divides
-  n^2 + b exactly when n is congruent to one of these roots, so one
-  strided slice division per (p^k, root) removes exactly the exponent
-  of p.  For p = 2 and p | b the roots mod p^k can multiply, so those
-  primes fall back to dividing each hit mod p in a loop.  The exponent
-  totals count the same divisions that produce the cofactors, so
-  |n^2 + b| = prod p^e * cofactor holds by construction.
+The two Hensel kernels, slice_range here (the aggregate statistics, no
+per-term record) and primitive's first-hit kernel (the primitive-divisor
+count), divide prime powers instead.  A root mod an odd p not dividing
+b lifts by Hensel's lemma (_hensel_levels) to one root mod p^k for every
+p^k up to the largest |n^2 + b|; p^k divides n^2 + b exactly when n is
+congruent to one of these roots, so one division by p per hit of every
+(p^k, root) removes exactly the exponent of p.  One scheduler
+(_scheduler) places these divisions for both kernels: a modulus below
+SEGMENT becomes one strided slice division per segment, and a larger
+one, which hits a segment at most once, waits in the bucket of the
+segment where it next hits (Oliveira e Silva, Herzog and Pardi,
+Math. Comp. 83, 2014).  For p = 2 and p | b the roots mod p^k can
+multiply, so those primes fall back to dividing each hit mod p in a
+loop.  slice_range counts each lifted prime's exponent from the hits of
+its levels in range, the same hits the scheduler divides, so
+|n^2 + b| = prod p^e * cofactor holds by construction.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
@@ -198,39 +199,72 @@ def _hensel_levels(p: int, r: int, b: int, top: int) -> list:
     return levels
 
 
-def _slice_segment(b: int, lo: int, hi: int, strided: list, fallback: list,
-                   singles: list) -> tuple:
-    """Divide every sieve prime out of |n^2 + b| for n in [lo, hi).
+def _values(b: int, lo: int, hi: int) -> list:
+    """|n^2 + b| for n in [lo, hi)."""
+    if lo * lo + b < 0:
+        return [abs(n * n + b) for n in range(lo, hi)]
+    return [n * n + b for n in range(lo, hi)]
 
-    Returns (vals, rem, exps): the values |n^2 + b|, what is left of them
-    (the cofactors) and {p: total exponent of p over the segment}, with
-    only primes that divide some value.  A strided root r mod p^k removes
-    one factor p from every n == r (mod p^k) in one strided slice, so an
-    n loses exactly as many factors p as p^k divide its value; a
-    fallback prime is divided out of each of its hits mod p in a loop.
-    singles holds the (n, p) of lifted roots whose modulus is too large
-    to recur within the range: each removes one factor p from n.
-    Every division is counted in exps, so vals[i] equals rem[i] times
-    the prime powers taken from it.
+
+def _scheduler(start: int, end: int) -> tuple:
+    """The division scheduler of the Hensel kernels over [start, end): (add, divide).
+
+    A division (p^k, r, p) takes one factor p from the value at every n
+    in range with n == r (mod p^k); the range is scanned in segments of
+    SEGMENT from start, in ascending order.  add(p, levels, n) registers
+    each (p^k, r) of levels from its first hit m >= n, dividing the hits
+    in the current segment at once; divide(rem, lo) applies every
+    registered division to the values rem of the segment at lo, which
+    becomes the current one (before the first call it is empty).
     """
-    length = hi - lo
-    vals = [abs(n * n + b) for n in range(lo, hi)]
-    rem = vals[:]
-    exps = {}
-    for p, levels in strided:
-        e = 0
+    size = SEGMENT
+    strided = []  # (p^k, r, p) with p^k below the segment length
+    buckets = {}  # segment start -> [(next hit, p^k, p), ...]
+    cur, cur_lo, cur_hi = [], start, start
+
+    def add(p, levels, n):
         for pk, r in levels:
+            m = n + (r - n) % pk
+            if m >= end:
+                continue
+            if pk < size:
+                if m < cur_hi:
+                    cur[m - cur_lo::pk] = [v // p for v in cur[m - cur_lo::pk]]
+                strided.append((pk, r, p))
+                continue
+            if m < cur_hi:  # pk >= size: at most one hit per segment
+                cur[m - cur_lo] //= p
+                m += pk
+                if m >= end:
+                    continue
+            buckets.setdefault(m - (m - start) % size, []).append((m, pk, p))
+
+    def divide(rem, lo):
+        nonlocal cur, cur_lo, cur_hi
+        length = len(rem)
+        cur, cur_lo, cur_hi = rem, lo, lo + length
+        for pk, r, p in strided:
             s = (r - lo) % pk
-            if s < length:
-                if s + pk < length:
-                    part = rem[s::pk]
-                    rem[s::pk] = [v // p for v in part]
-                    e += len(part)
-                else:
-                    rem[s] //= p
-                    e += 1
-        if e:
-            exps[p] = e
+            if s + pk < length:
+                rem[s::pk] = [v // p for v in rem[s::pk]]
+            elif s < length:  # a slice of one
+                rem[s] //= p
+        for m, pk, p in buckets.pop(lo, ()):
+            rem[m - lo] //= p
+            m += pk
+            if m < end:
+                buckets.setdefault(m - (m - start) % size, []).append((m, pk, p))
+
+    return add, divide
+
+
+def _divide_fallback(rem: list, lo: int, fallback: list, exps: dict) -> None:
+    """Divide each fallback (p, roots mod p) out of its hits in rem, the segment at lo.
+
+    Each hit is divided by p in a loop until p no longer divides it, and
+    exps[p] is set to the number of divisions when there are any.
+    """
+    length = len(rem)
     for p, roots in fallback:
         e = 0
         for r in roots:
@@ -242,50 +276,41 @@ def _slice_segment(b: int, lo: int, hi: int, strided: list, fallback: list,
                 rem[i] = v
         if e:
             exps[p] = e
-    for n, p in singles:
-        rem[n - lo] //= p
-        exps[p] = exps.get(p, 0) + 1
-    return vals, rem, exps
-
-
-def _split_by_span(lifted: list, lo: int, hi: int) -> Tuple[list, list]:
-    """Separate the lifted roots that recur within [lo, hi) from those that cannot.
-
-    A modulus p^k >= hi - lo meets [lo, hi) at most once, so its root
-    becomes one (n, p) single, sorted by n; the rest stay strided.
-    """
-    span = hi - lo
-    strided, singles = [], []
-    for p, levels in lifted:
-        near = tuple(lv for lv in levels if lv[0] < span)
-        if near:
-            strided.append((p, near))
-        for pk, r in levels[len(near):]:  # levels ascend in p^k
-            n = lo + (r - lo) % pk
-            if n < hi:
-                singles.append((n, p))
-    singles.sort()
-    return strided, singles
 
 
 def slice_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
-    """Stream (vals, rem, exps) of _slice_segment per segment of [lo, hi), ascending.
+    """Stream (vals, rem, exps) per segment of [lo, hi), ascending.
 
     The exact counterpart of sieve_range for callers that need only
     exponent totals and cofactors: no per-term factor list is built.
-    Every prime <= prime_limit is divided out completely, so a cofactor
-    is a product of primes above the limit.
+    vals are the segment's values |n^2 + b| and rem what is left of them
+    once every prime <= prime_limit is divided out, so a cofactor is a
+    product of primes above the limit.  exps maps primes to exponents,
+    with only primes that divide some value in range, and the exps of
+    all segments add up to the exponent totals over [lo, hi): a lifted
+    prime is counted once, in the first segment, as the number of hits
+    of its levels in range, and a fallback prime per segment, division
+    by division.  So |n^2 + b| = prod p^e * cofactor over the range.
     """
     b, lo, hi = spec.b, cfg.lo, cfg.hi
     lifted, fallback = lifted_roots(spec, cfg.prime_limit, (hi - 1) ** 2 + abs(b))
-    strided, singles = _split_by_span(lifted, lo, hi)
-    del lifted  # the segments need only the split copies
-    j = 0
+    add, divide = _scheduler(lo, hi)
+    exps = {}
+    for p, levels in lifted:
+        add(p, levels, lo)
+        e = 0
+        for pk, r in levels:  # the n == r (mod p^k) in [lo, hi)
+            e += (hi - 1 - r) // pk - (lo - 1 - r) // pk
+        if e:
+            exps[p] = e
+    del lifted  # the segments need only the schedule
     for slo in range(lo, hi, SEGMENT):
-        shi = min(slo + SEGMENT, hi)
-        k = bisect_left(singles, (shi,), j)
-        yield _slice_segment(b, slo, shi, strided, fallback, singles[j:k])
-        j = k
+        vals = _values(b, slo, min(slo + SEGMENT, hi))
+        rem = vals[:]
+        divide(rem, slo)
+        _divide_fallback(rem, slo, fallback, exps)
+        yield vals, rem, exps
+        exps = {}
 
 
 def write_csv(stream: Iterable[TermFactorization], fh) -> None:

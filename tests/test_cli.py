@@ -158,6 +158,8 @@ def test_exit_codes(capsys):
                  ["density", "--b", "1", "--x", "100", "--checkpoints", "-3"],
                  ["chowla-todd", "--x", "100", "--checkpoints", "0"],
                  ["chowla-todd", "--x", "100", "--checkpoints", "-3"],
+                 ["chowla-todd", "--x", "1"],
+                 ["chowla-todd", "--x", "-5"],
                  ["chebyshev", "--b", "1", "--x", "100", "--K", "nan"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("computation error:"), argv

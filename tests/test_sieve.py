@@ -8,7 +8,7 @@ from quadfactor import arith, sieve
 from quadfactor.errors import CapExceededError, OutOfDomainError
 from quadfactor.sieve import SieveConfig
 
-from conftest import naive_is_prime, naive_p_plus
+from conftest import naive_factorize, naive_is_prime, naive_p_plus
 
 B_POOL = (1, 2, 3, 5, 7, -2, -3)
 # p = 2, primes dividing b, and p^2 | b (12, -72, 45, 2^10 * 3)
@@ -165,8 +165,9 @@ def _roots_mod_powers(b, p, top):
 def _fallback_hits(b, p, roots, top):
     """{p^k: residues mod p^k of the n whose value the fallback divides by p^k}.
 
-    Runs the slice kernel with p as its only prime over n in [1, P], P
-    the largest power p^k <= top, which covers every residue mod p^k.
+    Runs the fallback divider of the slice kernel with p as its only
+    prime over n in [1, P], P the largest power p^k <= top, which covers
+    every residue mod p^k.
     """
     big = p
     while big * p <= top:
@@ -174,7 +175,9 @@ def _fallback_hits(b, p, roots, top):
     hits = {}
     for lo in range(1, big + 1, 1 << 16):
         hi = min(lo + (1 << 16), big + 1)
-        vals, rem, exps = sieve._slice_segment(b, lo, hi, [], [(p, roots)], [])
+        vals = [abs(n * n + b) for n in range(lo, hi)]
+        rem, exps = vals[:], {}
+        sieve._divide_fallback(rem, lo, [(p, roots)], exps)
         removed = 0
         for i in range(hi - lo):
             q, c = divmod(vals[i], rem[i])
@@ -212,3 +215,43 @@ def test_lifted_roots_and_fallback_hits_match_brute_force():
                 assert _fallback_hits(b, p, fall[p], top) == want, (b, p)
             else:
                 assert not any(want.values()), (b, p)
+
+
+def _without(b, n, primes):
+    """|n^2 + b| with the given primes divided out completely, by trial division."""
+    v = 1
+    for q, e in naive_factorize(abs(n * n + b)):
+        if q not in primes:
+            v *= q ** e
+    return v
+
+
+@pytest.mark.parametrize("seg", (1, 7, 25))
+def test_scheduler_divides_exactly_the_lifted_primes(monkeypatch, seg):
+    # Both calling patterns: every root registered before the first segment
+    # of a range that starts away from 1 (slice_range), and each prime
+    # registered mid-segment after its least root (the first-hit kernel),
+    # where the test itself strips the prime from that root's value.
+    monkeypatch.setattr(sieve, "SEGMENT", seg)
+    for b in LIFT_POOL:
+        spec = arith.validate_b(b)
+        for start, end, mid in ((40, 300, False), (1, 300, True)):
+            lifted = dict(sieve.lifted_roots(spec, 40, (end - 1) ** 2 + abs(b))[0])
+            least = {}
+            for p, levels in lifted.items():
+                least.setdefault(min(levels[0][1], levels[1][1]), []).append(p)
+            add, divide = sieve._scheduler(start, end)
+            if not mid:
+                for p, levels in lifted.items():
+                    add(p, levels, start)
+            for lo in range(start, end, seg):
+                hi = min(lo + seg, end)
+                rem = sieve._values(b, lo, hi)
+                divide(rem, lo)
+                for n in range(lo, hi) if mid else ():
+                    for p in least.get(n, ()):
+                        add(p, lifted[p], n + 1)
+                        while rem[n - lo] % p == 0:
+                            rem[n - lo] //= p
+                want = [_without(b, n, lifted) for n in range(lo, hi)]
+                assert rem == want, (b, seg, start, lo)
