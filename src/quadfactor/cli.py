@@ -22,7 +22,7 @@ import io
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from . import arith, constants, primitive, sieve, stats, stormer
 from .errors import Error, PreconditionViolatedError
@@ -38,29 +38,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fnum(v) -> str:
-    if type(v) is float:
-        return f"{v:.12g}"
-    return str(v)
-
-
-def _csv(rows: List[list], header: List[str]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(map(_fnum, row)) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _csv(rows: Iterable[list], header: List[str]) -> str:
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\n")
+    for row in rows:
+        buf.write(",".join([f"{v:.12g}" if type(v) is float else str(v) for v in row]) + "\n")
+    return buf.getvalue()
 
 
 def _checkpoint_grid(x: int, n: int) -> List[int]:
     if n < 1:
         raise PreconditionViolatedError("checkpoints must be >= 1")
+    n = min(n, max(x, 1))  # n >= x marks every index 1..x
     if n == 1:
         return [x]
     marks = sorted({max(1, round(i * x / n)) for i in range(1, n + 1)})
@@ -161,7 +150,7 @@ def _cmd_census(args) -> str:
     spec = arith.validate_b(args.b)
     rep = primitive.non_primitive_census(spec, args.x)
     if args.format == "csv":
-        return _csv([[n] for n in rep.non_primitive], ["n"])
+        return _csv(([n] for n in rep.non_primitive), ["n"])
     return json.dumps({"b": args.b, "x": args.x, "count": rep.count,
                        "non_primitive": rep.non_primitive}) + "\n"
 
@@ -195,7 +184,7 @@ def _cmd_nx(args) -> str:
                            "windows": [{"v": a, "V": bb, "x_over_log_v": c}
                                        for a, bb, c in rows]}) + "\n"
     if args.format == "csv":
-        return _csv([[p, hist.counts[p]] for p in sorted(hist.counts)], ["p", "count"])
+        return _csv(([p, hist.counts[p]] for p in sorted(hist.counts)), ["p", "count"])
     return json.dumps({"b": args.b, "x": args.x, "N_total": hist.total,
                        "weighted": hist.weighted,
                        "counts": {str(p): hist.counts[p] for p in sorted(hist.counts)}}) + "\n"
@@ -237,9 +226,9 @@ def _cmd_stormer(args) -> str:
 def _cmd_sieve(args) -> str:
     spec = arith.validate_b(args.b)
     cfg = sieve.SieveConfig(1, args.x + 1)
-    buf = io.StringIO()
-    sieve.write_csv(sieve.sieve_range(spec, cfg), buf)
-    return buf.getvalue()
+    return _csv(([tf.n, tf.sign, " ".join(f"{p}^{e}" for p, e in tf.factors), tf.cofactor]
+                 for tf in sieve.sieve_range(spec, cfg)),
+                ["n", "sign", "factors", "cofactor"])
 
 
 _DISPATCH = {
@@ -270,7 +259,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Error as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 1
     return 0
 
 

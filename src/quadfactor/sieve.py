@@ -39,7 +39,7 @@ its levels in range, the same hits the scheduler divides, so
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from . import arith
 from .arith import RootSet, SequenceSpec
@@ -102,10 +102,6 @@ def sieve_primes(spec: SequenceSpec, limit: int) -> list:
     return out
 
 
-def _flatten(rootsets) -> list:
-    return [(rs.p, r) for rs in rootsets for r in rs.roots]
-
-
 def _sieve_segment(b: int, lo: int, hi: int, pairs: list, oracle_cut: int) -> list:
     """Factor all terms for n in [lo, hi); pure function of its arguments.
 
@@ -114,11 +110,10 @@ def _sieve_segment(b: int, lo: int, hi: int, pairs: list, oracle_cut: int) -> li
     factorization oracle instead.
     """
     length = hi - lo
-    vals = [n * n + b for n in range(lo, hi)]
+    vals = _values(b, lo, hi)
     signs = None
-    if b < 0 and lo * lo + b < 0:
-        signs = [-1 if v < 0 else 1 for v in vals]
-        vals = [-v if v < 0 else v for v in vals]
+    if lo * lo + b < 0:
+        signs = [-1 if n * n + b < 0 else 1 for n in range(lo, hi)]
     facs = [[] for _ in range(length)]
 
     for p, r in pairs:
@@ -152,7 +147,7 @@ def _sieve_segment(b: int, lo: int, hi: int, pairs: list, oracle_cut: int) -> li
 def sieve_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[TermFactorization]:
     """Stream one TermFactorization per n in [lo, hi), ascending, segment by segment."""
     b = spec.b
-    pairs = _flatten(sieve_primes(spec, cfg.prime_limit))
+    pairs = [(rs.p, r) for rs in sieve_primes(spec, cfg.prime_limit) for r in rs.roots]
     oracle_cut = arith.isqrt(abs(b) // 3)
     for slo in range(cfg.lo, cfg.hi, SEGMENT):
         yield from _sieve_segment(b, slo, min(slo + SEGMENT, cfg.hi), pairs, oracle_cut)
@@ -311,11 +306,3 @@ def slice_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
         _divide_fallback(rem, slo, fallback, exps)
         yield vals, rem, exps
         exps = {}
-
-
-def write_csv(stream: Iterable[TermFactorization], fh) -> None:
-    """Raw dump: one row per term, factors as space-separated p^e."""
-    fh.write("n,sign,factors,cofactor\n")
-    for tf in stream:
-        fs = " ".join(f"{p}^{e}" for p, e in tf.factors)
-        fh.write(f"{tf.n},{tf.sign},{fs},{tf.cofactor}\n")

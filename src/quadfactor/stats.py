@@ -83,6 +83,8 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
         raise PreconditionViolatedError("x must be >= 2")
     if not K > 2:  # also rejects NaN
         raise PreconditionViolatedError("K must be > 2")
+    if K == math.inf:
+        raise PreconditionViolatedError("K must be finite")
     bound = 2 * x
     # Every |n^2 + b| with n <= x is below L^2 for L = isqrt(x^2 + |b|) + 1,
     # so with the primes up to L divided out a cofactor above 1 is one

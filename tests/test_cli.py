@@ -88,7 +88,7 @@ def test_chowla_todd_checkpoints_in_one_pass(capsys, monkeypatch):
     assert [int(m) for m, _, _ in rows] == [429, 857, 1286, 1714, 2143, 2571, 3000]
     for m, count, ratio in rows:
         c, r = stats.chowla_todd_density(int(m))
-        assert [count, ratio] == [str(c), cli._fnum(r)]
+        assert [count, ratio] == [str(c), f"{r:.12g}"]
 
 
 @pytest.mark.slow
@@ -141,6 +141,7 @@ def test_sieve_dump(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,sign,factors,cofactor"
     assert lines[7] == "7,1,2^1 5^2,1"
+    assert lines[6] == "6,1,,37"  # no factor below the limit 18
 
 
 def test_exit_codes(capsys):
@@ -160,13 +161,32 @@ def test_exit_codes(capsys):
                  ["chowla-todd", "--x", "100", "--checkpoints", "-3"],
                  ["chowla-todd", "--x", "1"],
                  ["chowla-todd", "--x", "-5"],
-                 ["chebyshev", "--b", "1", "--x", "100", "--K", "nan"]):
+                 ["chebyshev", "--b", "1", "--x", "100", "--K", "nan"],
+                 ["chebyshev", "--b", "1", "--x", "100", "--K", "inf"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("computation error:"), argv
     assert cli.main(["--help"]) == 0
     for sub in ("density", "census", "chebyshev", "nx", "chowla-todd",
                 "mertens", "constants", "stormer", "sieve"):
         assert cli.main([sub, "--help"]) == 0
+
+
+def test_out_errors(tmp_path, capsys):
+    # an unwritable path is a usage error; a computation error writes no file
+    for out in (tmp_path, tmp_path / "missing" / "x.csv"):
+        code, stdout, err = run(capsys, "density", "--b", "1", "--x", "10", "--out", str(out))
+        assert code == 1 and stdout == "" and "Traceback" not in err, out
+        assert err.startswith(f"error: cannot write {out}: "), err
+    bad = tmp_path / "bad.csv"
+    assert run(capsys, "density", "--b", "-4", "--x", "10", "--out", str(bad))[0] == 2
+    assert not bad.exists()
+
+
+def test_checkpoint_grid_saturates_at_x():
+    assert cli._checkpoint_grid(100, 10 ** 12) == list(range(1, 101))
+    for x in (1, 2, 7, 100, 399):
+        for n in (x, x + 1, 3 * x + 4):
+            assert cli._checkpoint_grid(x, n) == list(range(1, x + 1)), (x, n)
 
 
 def test_threads_env_ignored(capsys, monkeypatch):

@@ -1,4 +1,3 @@
-import io
 import random
 from unittest import mock
 
@@ -80,16 +79,13 @@ def test_p_plus_of_matches_oracle():
 
 
 def test_segment_independence():
-    base = _run_at(2000, 1, 1, 2001)
-    for seg in (1, 64, 4096):
-        assert _run_at(seg, 1, 1, 2001) == base
-    basem = _run_at(1000, -3, 1, 1001)
-    for seg in (1, 64, 4096):
-        assert _run_at(seg, -3, 1, 1001) == basem
-
-
-def test_thread_independence():
-    assert _run_at(1024, 1, 1, 20001) == _run(1, 1, 20001)
+    # (b, hi, base segment, other segments): one base is the default length
+    for b, hi, base_seg, segs in ((1, 2001, 2000, (1, 64, 4096)),
+                                  (-3, 1001, 1000, (1, 64, 4096)),
+                                  (1, 20001, sieve.SEGMENT, (1024,))):
+        base = _run_at(base_seg, b, 1, hi)
+        for seg in segs:
+            assert _run_at(seg, b, 1, hi) == base, (b, seg)
 
 
 def test_cofactor_prime_when_limit_covers_range():
@@ -133,16 +129,6 @@ def test_config_validation():
     with pytest.raises(OutOfDomainError):
         SieveConfig(1, 10, prime_limit=1)
     assert SieveConfig(1, 10).prime_limit == 20
-
-
-def test_csv_dump_format():
-    spec = arith.validate_b(1)
-    fh = io.StringIO()
-    sieve.write_csv(sieve.sieve_range(spec, SieveConfig(1, 8)), fh)
-    lines = fh.getvalue().splitlines()
-    assert lines[0] == "n,sign,factors,cofactor"
-    assert lines[7] == "7,1,2^1 5^2,1"
-    assert lines[6] == "6,1,,37"
 
 
 def _roots_mod_powers(b, p, top):

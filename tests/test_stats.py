@@ -74,6 +74,8 @@ def test_chebyshev_preconditions():
         stats.chebyshev_report(spec, 100, K=2.0)
     with pytest.raises(PreconditionViolatedError):  # NaN fails every comparison
         stats.chebyshev_report(spec, 100, K=float("nan"))
+    with pytest.raises(PreconditionViolatedError):
+        stats.chebyshev_report(spec, 100, K=float("inf"))
 
 
 def test_sprime_primes_are_distinct_per_range():
