@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from quadfactor import arith, sieve
+from quadfactor import arith, cli, sieve
 from quadfactor.errors import CapExceededError, OutOfDomainError
 from quadfactor.sieve import SieveConfig
 
@@ -79,13 +79,17 @@ def test_p_plus_of_matches_oracle():
 
 
 def test_segment_independence():
-    # (b, hi, base segment, other segments): one base is the default length
-    for b, hi, base_seg, segs in ((1, 2001, 2000, (1, 64, 4096)),
-                                  (-3, 1001, 1000, (1, 64, 4096)),
-                                  (1, 20001, sieve.SEGMENT, (1024,))):
-        base = _run_at(base_seg, b, 1, hi)
-        for seg in segs:
-            assert _run_at(seg, b, 1, hi) == base, (b, seg)
+    base = _run_at(2000, 1, 1, 2001)
+    for seg in (1, 64, 4096):
+        assert _run_at(seg, 1, 1, 2001) == base
+    basem = _run_at(1000, -3, 1, 1001)
+    for seg in (1, 64, 4096):
+        assert _run_at(seg, -3, 1, 1001) == basem
+
+
+def test_thread_independence():
+    # threads are gone; a short segment must still match the default length
+    assert _run_at(1024, 1, 1, 20001) == _run(1, 1, 20001)
 
 
 def test_cofactor_prime_when_limit_covers_range():
@@ -129,6 +133,23 @@ def test_config_validation():
     with pytest.raises(OutOfDomainError):
         SieveConfig(1, 10, prime_limit=1)
     assert SieveConfig(1, 10).prime_limit == 20
+
+
+def test_csv_dump_format(capsys):
+    # the `sieve` dump is the sieve's records rendered by cli._csv
+    assert cli.main(["sieve", "--b", "1", "--x", "8"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "n,sign,factors,cofactor", "1,1,2^1,1", "2,1,5^1,1", "3,1,2^1 5^1,1",
+        "4,1,17^1,1", "5,1,2^1 13^1,1", "6,1,,37", "7,1,2^1 5^2,1", "8,1,5^1 13^1,1"]
+    assert cli.main(["sieve", "--b", "-3", "--x", "30"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(n) for n, _, _, _ in rows] == list(range(1, 31))
+    for n, sign, factors, cof in rows:
+        v = int(cof)
+        for pe in factors.split():
+            p, e = pe.split("^")
+            v *= int(p) ** int(e)
+        assert int(sign) * v == int(n) ** 2 - 3, n
 
 
 def _roots_mod_powers(b, p, top):
