@@ -5,9 +5,9 @@ factor, and evaluation of the quadratic terms n^2 + b.  Everything here
 is a pure function over immutable inputs and safe to call concurrently.
 """
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .errors import NegativeSquareError, NotPrimeError, OutOfDomainError
 
@@ -18,8 +18,7 @@ B_CAP = 1 << 31
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     """The fixed offset b of the sequence n^2 + b, with -b not a square."""
 
     b: int
@@ -146,8 +145,7 @@ def sqrt_mod(a: int, p: int) -> set:
     return set(_roots_mod_p(a, p))
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     """Residues r mod p with r^2 + b == 0 (mod p), sorted ascending."""
 
     p: int

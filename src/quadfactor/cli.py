@@ -225,6 +225,8 @@ def _cmd_stormer(args) -> str:
 
 def _cmd_sieve(args) -> str:
     spec = arith.validate_b(args.b)
+    if args.x < 1:
+        raise PreconditionViolatedError("x must be >= 1")
     cfg = sieve.SieveConfig(1, args.x + 1)
     return _csv(([tf.n, tf.sign, " ".join(f"{p}^{e}" for p, e in tf.factors), tf.cofactor]
                  for tf in sieve.sieve_range(spec, cfg)),

@@ -19,8 +19,7 @@ kept below 1e-12.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .errors import NonConvergenceError
 
@@ -180,8 +179,7 @@ def conjectural_sigma() -> float:
     return 1.0 / LOG2
 
 
-@dataclass(frozen=True)
-class AnalyticConstants:
+class AnalyticConstants(NamedTuple):
     sigma: float
     theta: float
     alpha: float
@@ -189,8 +187,8 @@ class AnalyticConstants:
     lower_bound: float  # 2 theta - 3
     upper_bound: float  # 2 sigma - 3/2
     conjectural_sigma: float
-    theta_iterates: List[float] = field(repr=False)
-    residuals: Dict[str, float] = field(repr=False)
+    theta_iterates: List[float]
+    residuals: Dict[str, float]
 
     def as_dict(self) -> dict:
         return {

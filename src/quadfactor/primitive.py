@@ -28,9 +28,8 @@ classify_definitional() is the independent oracle: it factors every
 term and keeps the set of primes seen so far.
 """
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import arith, sieve
 from .arith import SequenceSpec
@@ -38,22 +37,19 @@ from .errors import PreconditionViolatedError
 from .sieve import SieveConfig, _hensel_levels
 
 
-@dataclass(frozen=True, slots=True)
-class PrimitiveStatus:
+class PrimitiveStatus(NamedTuple):
     n: int
     has_primitive: bool
     primitive_prime: Optional[int] = None
     multiple: bool = False  # >1 new prime; only possible for n <= |b|
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     spec: SequenceSpec
     checkpoints: List[Tuple[int, int, float]]  # (x, rho, rho/x)
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     spec: SequenceSpec
     x: int
     non_primitive: List[int]
@@ -185,6 +181,8 @@ def rho(spec: SequenceSpec, x: int,
 
 def non_primitive_census(spec: SequenceSpec, x: int) -> CensusReport:
     """Indices n <= x whose term has no primitive divisor, with their count."""
+    if x < 1:
+        raise PreconditionViolatedError("x must be >= 1")
     idx = [n for lo, new, _ in _first_hits(spec, SieveConfig(1, x + 1))
            for n, v in enumerate(new, lo) if v == 1]
     return CensusReport(spec, x, idx, len(idx))

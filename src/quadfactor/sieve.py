@@ -38,8 +38,7 @@ its levels in range, the same hits the scheduler divides, so
 |n^2 + b| = prod p^e * cofactor holds by construction.
 """
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from . import arith
 from .arith import RootSet, SequenceSpec
@@ -49,8 +48,7 @@ HI_CAP = 10 ** 9
 SEGMENT = 1 << 16
 
 
-@dataclass(frozen=True, slots=True)
-class TermFactorization:
+class TermFactorization(NamedTuple):
     """Exact decomposition sign * prod(p^e) * cofactor == n^2 + b."""
 
     n: int
@@ -65,23 +63,21 @@ class TermFactorization:
         return self.sign * v
 
 
-@dataclass(frozen=True)
-class SieveConfig:
+class SieveConfig(NamedTuple("SieveConfig", [("lo", int), ("hi", int), ("prime_limit", int)])):
     """Index range [lo, hi) and sieve prime limit (default 2 * hi)."""
 
-    lo: int
-    hi: int
-    prime_limit: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (1 <= self.lo < self.hi):
-            raise OutOfDomainError(f"need 1 <= lo < hi, got [{self.lo}, {self.hi})")
-        if self.hi > HI_CAP:
-            raise CapExceededError(f"hi = {self.hi} exceeds the cap {HI_CAP}")
-        if self.prime_limit is None:
-            object.__setattr__(self, "prime_limit", 2 * self.hi)
-        if self.prime_limit < 2:
+    def __new__(cls, lo: int, hi: int, prime_limit: Optional[int] = None):
+        if not (1 <= lo < hi):
+            raise OutOfDomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+        if hi > HI_CAP:
+            raise CapExceededError(f"hi = {hi} exceeds the cap {HI_CAP}")
+        if prime_limit is None:
+            prime_limit = 2 * hi
+        if prime_limit < 2:
             raise OutOfDomainError("prime_limit must be >= 2")
+        return super().__new__(cls, lo, hi, prime_limit)
 
 
 def sieve_primes(spec: SequenceSpec, limit: int) -> list:

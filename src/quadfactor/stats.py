@@ -34,10 +34,9 @@ over the primes below x; both read one segmented prime sieve (arith).
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 from operator import mul
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import arith, sieve
 from .arith import SequenceSpec
@@ -48,8 +47,7 @@ from .sieve import SieveConfig
 _WHEEL_30 = (1, 7, 11, 13, 17, 19, 23, 29)  # residues prime to 30
 
 
-@dataclass(frozen=True)
-class ChebyshevReport:
+class ChebyshevReport(NamedTuple):
     x: int
     K: float
     log_Qx: float
@@ -61,8 +59,7 @@ class ChebyshevReport:
     u: int             # primes in [Kx, inf)
 
 
-@dataclass(frozen=True)
-class NxHistogram:
+class NxHistogram(NamedTuple):
     x: int
     counts: Dict[int, int]  # p -> number of n in [x, 2x) with p | n^2 + b
     total: int

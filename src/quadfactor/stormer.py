@@ -41,10 +41,9 @@ exceeds it) passes the cap, or y_1 is B-smooth and the chain reaches the
 cap before K_max.  An even period found within M quotients is settled.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
-from typing import List, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 from . import arith
 from .errors import CapExceededError, PreconditionViolatedError
@@ -53,16 +52,14 @@ DEFAULT_DIGIT_CAP = 10 ** 4
 _LOG2_PHI = 0.6942419136306174  # log2 of the golden ratio
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class PellSolution(NamedTuple):
     D: int
     k: int  # odd solution index, 1 = fundamental
     x: int
     y: int
 
 
-@dataclass(frozen=True)
-class SmoothResult:
+class SmoothResult(NamedTuple):
     B: int
     solutions: List[int]
     max_n: int

@@ -165,6 +165,13 @@ def test_exit_codes(capsys):
                  ["chebyshev", "--b", "1", "--x", "100", "--K", "inf"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("computation error:"), argv
+    # a bad x is reported as such, not as the sieve's internal index range
+    for argv in (["census", "--b", "1", "--x", "0"],
+                 ["census", "--b", "1", "--x", "-5"],
+                 ["sieve", "--b", "1", "--x", "0"],
+                 ["density", "--b", "1", "--x", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "computation error: x must be >= 1\n"), argv
     assert cli.main(["--help"]) == 0
     for sub in ("density", "census", "chebyshev", "nx", "chowla-todd",
                 "mertens", "constants", "stormer", "sieve"):

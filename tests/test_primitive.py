@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from quadfactor import arith, primitive, sieve
+from quadfactor import arith, constants, primitive, sieve, stats, stormer
 from quadfactor.errors import CapExceededError
 
 from conftest import naive_is_prime, naive_p_plus, naive_prime_set
@@ -124,6 +124,45 @@ def test_density_report_shape():
     assert xs == sorted(xs)
     assert counts == sorted(counts)  # rho nondecreasing
     assert all(0.0 <= r[2] <= 1.0 for r in rep.checkpoints)
+
+
+def test_record_contract():
+    # every result record: fields in this order, equal when built alike,
+    # immutable, and shown as Name(field=value, ...)
+    records = [
+        (arith.SequenceSpec, {"b": 1}),
+        (arith.RootSet, {"p": 5, "roots": (2, 3)}),
+        (constants.AnalyticConstants,
+         {"sigma": 1.5, "theta": 2.1, "alpha": 1.2, "beta": 3.4, "lower_bound": 1.2,
+          "upper_bound": 1.5, "conjectural_sigma": 1.44, "theta_iterates": [2.0, 2.1],
+          "residuals": {"sigma_equation": 0.0}}),
+        (primitive.PrimitiveStatus,
+         {"n": 4, "has_primitive": True, "primitive_prime": 17, "multiple": False}),
+        (primitive.DensityReport, {"spec": arith.SequenceSpec(1), "checkpoints": [(2, 2, 1.0)]}),
+        (primitive.CensusReport,
+         {"spec": arith.SequenceSpec(1), "x": 10, "non_primitive": [3, 7, 8], "count": 3}),
+        (sieve.TermFactorization, {"n": 3, "sign": 1, "factors": ((2, 1), (5, 1)), "cofactor": 1}),
+        (sieve.SieveConfig, {"lo": 1, "hi": 10, "prime_limit": 30}),
+        (stats.ChebyshevReport,
+         {"x": 10, "K": 4.0, "log_Qx": 1.5, "sum_S": 1.0, "sum_Sprime": 0.5,
+          "s": 3, "s_prime": 2, "t": 1, "u": 1}),
+        (stats.NxHistogram, {"x": 10, "counts": {29: 1}, "total": 1, "weighted": 3.4}),
+        (stormer.PellSolution, {"D": 2, "k": 1, "x": 1, "y": 1}),
+        (stormer.SmoothResult, {"B": 14, "solutions": [1, 2], "max_n": 2, "truncated_Ds": []}),
+    ]
+    for cls, fields in records:
+        rec = cls(*fields.values())
+        assert [getattr(rec, k) for k in fields] == list(fields.values()), cls
+        assert rec == cls(**fields), cls
+        assert repr(rec) == f"{cls.__name__}(" + ", ".join(
+            f"{k}={v!r}" for k, v in fields.items()) + ")"
+        for k in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, k, 0)
+    assert primitive.PrimitiveStatus(3, False) == primitive.PrimitiveStatus(3, False, None, False)
+    assert sieve.SieveConfig(1, 10) == sieve.SieveConfig(1, 10, 20)
+    assert repr(next(primitive.classify_definitional(arith.validate_b(1), 1))) == (
+        "PrimitiveStatus(n=1, has_primitive=True, primitive_prime=2, multiple=False)")
 
 
 def test_rho_thread_determinism(monkeypatch):

@@ -1,6 +1,7 @@
 """Checks that must hold under `python -O`, a guard that keeps them so, a
-guard that keeps the package free of third-party imports, and one that
-keeps every command-line option in use."""
+guard that keeps the package free of third-party imports, one that keeps
+its start-up free of slow stdlib imports, and one that keeps every
+command-line option in use."""
 
 import argparse
 import ast
@@ -24,6 +25,20 @@ def test_sqrt_mod_rejects_composite_modulus_under_O():
                          cwd=SRC.parent, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "raised\n"
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # importing dataclasses (which pulls in inspect, ast, dis, tokenize)
+    # added 8-13 ms to every CLI start
+    code = ("import sys\n"
+            "bare = set(sys.modules)\n"
+            f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+            "import quadfactor.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))\n")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_no_assert_or_debug_in_package():
