@@ -8,9 +8,8 @@ with smooth n^2 + 1.
 
 from .arith import validate_b
 from .constants import compute_all
-from .errors import (CapExceededError, Error, NegativeSquareError,
-                     NonConvergenceError, NotPrimeError, OutOfDomainError,
-                     PreconditionViolatedError, WindowOutOfRangeError)
+from .errors import (CapExceededError, Error, NegativeSquareError, NonConvergenceError,
+                     OutOfDomainError, PreconditionViolatedError, WindowOutOfRangeError)
 from .primitive import non_primitive_census, rho
 from .stats import chebyshev_report, chowla_todd_density, mertens_sum, nx_histogram
 from .stormer import stormer_search

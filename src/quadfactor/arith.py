@@ -9,7 +9,7 @@ from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .errors import NegativeSquareError, NotPrimeError, OutOfDomainError
+from .errors import NegativeSquareError, OutOfDomainError
 
 B_CAP = 1 << 31
 
@@ -134,27 +134,11 @@ def _roots_mod_p(a: int, p: int) -> tuple:
     return (r, p - r) if r < p - r else (p - r, r)
 
 
-def sqrt_mod(a: int, p: int) -> set:
-    """All square roots of a modulo a prime p.
-
-    Returns the empty set when a is a non-residue, {0} when a == 0,
-    and {r, p - r} otherwise.
-    """
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    return set(_roots_mod_p(a, p))
-
-
 class RootSet(NamedTuple):
     """Residues r mod p with r^2 + b == 0 (mod p), sorted ascending."""
 
     p: int
     roots: tuple
-
-
-def roots_of_term_mod_p(spec: SequenceSpec, p: int) -> RootSet:
-    """Solutions of n^2 + b == 0 (mod p); the single root -b mod 2 for p = 2."""
-    return RootSet(p, _roots_mod_p(-spec.b, p))
 
 
 def primes_upto(n: int) -> list:

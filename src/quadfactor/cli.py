@@ -175,8 +175,7 @@ def _cmd_nx(args) -> str:
         v = 2.0 * args.x
         top = max(hist.counts) if hist.counts else v
         while v <= top:
-            rows.append([v, stats.vx(spec, args.x, v, hist=hist),
-                         args.x / math.log(v)])
+            rows.append([v, stats.vx(hist, v), args.x / math.log(v)])
             v *= math.e
         if args.format == "csv":
             return _csv(rows, ["v", "V", "x_over_log_v"])

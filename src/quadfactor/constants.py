@@ -139,11 +139,6 @@ def _bounds(theta: float, sigma: float) -> Tuple[float, float]:
     return lower, upper
 
 
-def bounds() -> Tuple[float, float]:
-    """The density bounds (2 theta - 3, 2 sigma - 3/2)."""
-    return _bounds(solve_theta()[0], solve_sigma())
-
-
 def solve_alpha_beta() -> Tuple[float, float]:
     """Solve the window system in closed form and verify it numerically.
 

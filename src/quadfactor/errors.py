@@ -9,10 +9,6 @@ class NegativeSquareError(Error):
     """Raised when -b is a perfect square, so some n^2 + b would vanish."""
 
 
-class NotPrimeError(Error):
-    """Raised when an argument required to be prime fails a primality check."""
-
-
 class OutOfDomainError(Error):
     """Raised when a value lies outside an operation's domain (e.g. m <= 1)."""
 

@@ -56,12 +56,6 @@ class TermFactorization(NamedTuple):
     factors: tuple  # ((p, e), ...) sorted by p
     cofactor: int
 
-    def value(self) -> int:
-        v = self.cofactor
-        for p, e in self.factors:
-            v *= p ** e
-        return self.sign * v
-
 
 class SieveConfig(NamedTuple("SieveConfig", [("lo", int), ("hi", int), ("prime_limit", int)])):
     """Index range [lo, hi) and sieve prime limit (default 2 * hi)."""
@@ -72,7 +66,7 @@ class SieveConfig(NamedTuple("SieveConfig", [("lo", int), ("hi", int), ("prime_l
         if not (1 <= lo < hi):
             raise OutOfDomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
         if hi > HI_CAP:
-            raise CapExceededError(f"hi = {hi} exceeds the cap {HI_CAP}")
+            raise CapExceededError(f"n = {hi - 1} exceeds the cap {HI_CAP - 1}")
         if prime_limit is None:
             prime_limit = 2 * hi
         if prime_limit < 2:

@@ -7,7 +7,8 @@ finer partition of S' at Kx.  The split is an exact identity:
 sum_S + sum_S' equals log Q_x up to float rounding.
 
 nx_histogram() counts, for n in [x, 2x), how many terms each prime
-p >= 2x divides; vx() sums those counts over a window (v, e*v].
+p >= 2x divides; vx(hist, v) sums the counts of such a histogram over
+a window (v, e*v], with x read from hist.
 
 Both run on sieve.slice_range, which yields per segment the values
 |n^2 + b|, their cofactors above the sieve limit L and the exponent
@@ -36,7 +37,7 @@ import math
 from array import array
 from itertools import accumulate, chain, compress
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from . import arith, sieve
 from .arith import SequenceSpec
@@ -147,13 +148,10 @@ def nx_histogram(spec: SequenceSpec, x: int) -> NxHistogram:
                        math.fsum(map(mul, counts.values(), map(math.log, counts))))
 
 
-def vx(spec: SequenceSpec, x: int, v: float, *,
-       hist: Optional[NxHistogram] = None) -> int:
-    """Sum of N_x(p) over primes p in the window (v, e*v]; needs v >= 2x."""
-    if v < 2 * x:
-        raise WindowOutOfRangeError(f"window start {v} below 2x = {2 * x}")
-    if hist is None:
-        hist = nx_histogram(spec, x)
+def vx(hist: NxHistogram, v: float) -> int:
+    """Sum of hist's N_x(p) over primes p in the window (v, e*v]; needs v >= 2x."""
+    if v < 2 * hist.x:
+        raise WindowOutOfRangeError(f"window start {v} below 2x = {2 * hist.x}")
     hi = math.e * v
     return sum(c for p, c in hist.counts.items() if v < p <= hi)
 

@@ -134,7 +134,7 @@ def _half_period(D: int, max_quotients: int):
     raise CapExceededError(f"continued fraction of sqrt({D}) passed the digit cap")
 
 
-def _fundamental_y(D: int, cap_bits: Optional[int], max_quotients: int) -> Optional[int]:
+def _fundamental_y(D: int, cap_bits: int, max_quotients: int) -> Optional[int]:
     """y_1 of the fundamental solution, or None; CapExceededError once the
     half period reaches max_quotients or p_m q_m passes cap_bits."""
     half = _half_period(D, max_quotients)
@@ -145,7 +145,7 @@ def _fundamental_y(D: int, cap_bits: Optional[int], max_quotients: int) -> Optio
     for a in quotients:
         q0, q1 = q1, a * q1 + q0
     qq = q1 * q1
-    if cap_bits is not None and quotients:
+    if quotients:
         pp = D * qq + (Q if len(quotients) % 2 else -Q)  # p_m^2
         if (pp.bit_length() + 1) // 2 + q1.bit_length() - 1 > cap_bits:
             raise CapExceededError(f"continued fraction of sqrt({D}) passed the digit cap")
@@ -159,20 +159,6 @@ def _x_from_y(D: int, y: int) -> int:
     if x * x != xx:
         raise ArithmeticError(f"{D} * {y}^2 - 1 is not a square")
     return x
-
-
-def negative_pell_fundamental(D: int, digit_cap: Optional[int] = None):
-    """Least (x, y) > 0 with x^2 - D y^2 = -1, or None; CapExceededError past digit_cap."""
-    if D < 2:
-        raise PreconditionViolatedError("D must be >= 2")
-    if digit_cap is None:
-        # the half period is below D: a reduced complete quotient has
-        # 0 < P <= a_0 and 0 < Q <= 2 a_0, so the period is at most 2 a_0^2
-        y = _fundamental_y(D, None, D)
-    else:
-        cap_bits = _cap_bits(digit_cap)
-        y = _fundamental_y(D, cap_bits, _max_quotients(cap_bits))
-    return None if y is None else (_x_from_y(D, y), y)
 
 
 def pell_solutions_odd(D: int, fundamental: Tuple[int, int], k_max: int,

@@ -79,6 +79,14 @@ def naive_negative_pell(D):
         k, k_prev = a * k + k_prev, k
 
 
+def reconstruct(tf):
+    """sign * prod(p^e) * cofactor of a sieve record: the value it claims for n^2 + b."""
+    v = tf.cofactor
+    for p, e in tf.factors:
+        v *= p ** e
+    return tf.sign * v
+
+
 def naive_prime_flags(n):
     """Sieve of Eratosthenes: flags[k] == 1 exactly when k <= n is prime."""
     assert n >= 1

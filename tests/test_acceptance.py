@@ -176,7 +176,7 @@ def test_criterion_6_nx_bounds(spec1, nx_hists):
         assert 0.5 < hist.total / x < 1.0, (x, hist.total)
         for c in hist.counts.values():
             assert c <= 2
-    V = stats.vx(spec1, 10 ** 5, 2 * 10 ** 5, hist=nx_hists[10 ** 5])
+    V = stats.vx(nx_hists[10 ** 5], 2 * 10 ** 5)
     assert V == VX_AT_2X_1E5
     assert 0.5 <= V * math.log(2 * 10 ** 5) / 10 ** 5 <= 1.5
     assert _report(6, True, f"x=5 counts exact; totals/x = "

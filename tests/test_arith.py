@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from quadfactor import arith
-from quadfactor.errors import NegativeSquareError, NotPrimeError, OutOfDomainError
+from quadfactor import arith, sieve
+from quadfactor.errors import NegativeSquareError, OutOfDomainError
 
 from conftest import naive_factorize, naive_is_prime, naive_p_plus
 
@@ -28,16 +28,19 @@ def test_term_examples():
 
 
 def test_sqrt_mod_examples():
-    assert arith.sqrt_mod(4, 5) == {2, 3}
-    assert arith.sqrt_mod(12, 13) == {5, 8}
-    assert arith.sqrt_mod(2, 3) == set()
-    assert arith.sqrt_mod(0, 7) == {0}
-    assert arith.sqrt_mod(0, 5) == {0}
+    assert arith._roots_mod_p(4, 5) == (2, 3)
+    assert arith._roots_mod_p(12, 13) == (5, 8)
+    assert arith._roots_mod_p(2, 3) == ()
+    assert arith._roots_mod_p(0, 7) == (0,)
+    assert arith._roots_mod_p(0, 5) == (0,)
 
 
 def test_sqrt_mod_rejects_composite_modulus():
-    with pytest.raises(NotPrimeError):
-        arith.sqrt_mod(4, 15)
+    # _roots_mod_p takes the primality of its modulus on trust; its one
+    # caller, sieve_primes, hands it only primes
+    for b in (1, -2, 15, -73600, 999999):
+        moduli = [rs.p for rs in sieve.sieve_primes(arith.validate_b(b), 2000)]
+        assert moduli and all(naive_is_prime(p) for p in moduli), b
 
 
 def test_sqrt_mod_euler_criterion_exhaustive_small(small_primes):
@@ -54,7 +57,6 @@ def test_sqrt_mod_euler_criterion_exhaustive_small(small_primes):
             want = tuple(brute.get(a, ()))
             assert arith._roots_mod_p(a, p) == want, (a, p)
             assert arith._roots_mod_p(a - p, p) == want, (a - p, p)
-            assert arith.sqrt_mod(a, p) == set(want)
             if p > 2 and a:
                 assert len(want) == (2 if pow(a, (p - 1) // 2, p) == 1 else 0)
 
@@ -65,35 +67,33 @@ def test_sqrt_mod_euler_criterion_sampled(small_primes):
         if p == 2:
             continue
         for a in {0, p - 1, *(rng.randrange(p) for _ in range(12))}:
-            roots = arith.sqrt_mod(a, p)
+            roots = arith._roots_mod_p(a, p)
             assert all(r * r % p == a for r in roots)
             expected = 1 if a == 0 else (2 if pow(a, (p - 1) // 2, p) == 1 else 0)
             assert len(roots) == expected
 
 
 def test_roots_of_term_examples():
-    b1 = arith.validate_b(1)
-    assert arith.roots_of_term_mod_p(b1, 2).roots == (1,)
-    assert arith.roots_of_term_mod_p(b1, 5).roots == (2, 3)
-    assert arith.roots_of_term_mod_p(b1, 3).roots == ()
+    # the roots of n^2 + b mod p are the square roots of -b
+    assert arith._roots_mod_p(-1, 2) == (1,)
+    assert arith._roots_mod_p(-1, 5) == (2, 3)
+    assert arith._roots_mod_p(-1, 3) == ()
 
 
 def test_roots_b1_nonempty_iff_1_mod_4(small_primes):
-    b1 = arith.validate_b(1)
     for p in small_primes:
-        rs = arith.roots_of_term_mod_p(b1, p)
+        roots = arith._roots_mod_p(-1, p)
         expect = (p == 2) or (p % 4 == 1)
-        assert bool(rs.roots) == expect, p
-        for r in rs.roots:
+        assert bool(roots) == expect, p
+        for r in roots:
             assert (r * r + 1) % p == 0
 
 
 def test_roots_cardinality_contract():
     # odd p | b gives the single root 0; odd p not dividing 2b gives 0 or 2
-    b = arith.validate_b(15)
-    assert arith.roots_of_term_mod_p(b, 3).roots == (0,)
-    assert arith.roots_of_term_mod_p(b, 5).roots == (0,)
-    assert len(arith.roots_of_term_mod_p(b, 7).roots) in (0, 2)
+    assert arith._roots_mod_p(-15, 3) == (0,)
+    assert arith._roots_mod_p(-15, 5) == (0,)
+    assert len(arith._roots_mod_p(-15, 7)) in (0, 2)
 
 
 def test_is_prime_examples_and_oracle():

@@ -39,11 +39,12 @@ def test_bisection_and_newton_agree():
 
 
 def test_bounds():
-    lower, upper = constants.bounds()
+    c = constants.compute_all()
+    lower, upper = c.lower_bound, c.upper_bound
     assert 0.5324 < lower < 0.5325
     assert 0.9049 < upper < 0.905
     assert 0.0 < 1.0 - upper + lower < 1.0
-    assert constants.compute_all().lower_bound == lower
+    assert (lower, upper) == (2.0 * c.theta - 3.0, 2.0 * c.sigma - 1.5)
     with pytest.raises(NonConvergenceError):
         constants._bounds(1.76, 1.2)  # lower 0.52 misses 0.5324
     with pytest.raises(NonConvergenceError):

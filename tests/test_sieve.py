@@ -7,7 +7,7 @@ from quadfactor import arith, cli, sieve
 from quadfactor.errors import CapExceededError, OutOfDomainError
 from quadfactor.sieve import SieveConfig
 
-from conftest import naive_factorize, naive_is_prime, naive_p_plus
+from conftest import naive_factorize, naive_is_prime, naive_p_plus, reconstruct
 
 B_POOL = (1, 2, 3, 5, 7, -2, -3)
 # p = 2, primes dividing b, and p^2 | b (12, -72, 45, 2^10 * 3)
@@ -35,16 +35,18 @@ def test_sieve_primes_examples():
 
 
 def test_sieve_primes_are_the_nonempty_root_sets(monkeypatch):
-    # the prime list is trusted, so no primality test runs per prime
+    # the prime list is trusted, so no primality test runs per prime;
+    # the roots are checked against every residue mod p
     def no_is_prime(m):
         raise AssertionError("sieve_primes called is_prime")
+    primes = [p for p in range(2, 501) if naive_is_prime(p)]
     for b in B_POOL + (15, -73600):
         spec = arith.validate_b(b)
-        want = [arith.roots_of_term_mod_p(spec, p) for p in arith.primes_upto(500)]
+        want = [(p, tuple(n for n in range(p) if (n * n + b) % p == 0)) for p in primes]
         with monkeypatch.context() as m:
             m.setattr(arith, "is_prime", no_is_prime)
             got = sieve.sieve_primes(spec, 500)
-        assert got == [rs for rs in want if rs.roots], b
+        assert got == [(p, roots) for p, roots in want if roots], b
 
 
 def test_sieve_range_hand_examples():
@@ -63,7 +65,7 @@ def test_sieve_range_hand_examples():
 def test_reconstruction_identity():
     for b in B_POOL:
         for tf in _run(b, 1, 10 ** 5 + 1):
-            assert tf.value() == tf.n * tf.n + b, (b, tf)
+            assert reconstruct(tf) == tf.n * tf.n + b, (b, tf)
 
 
 def test_p_plus_of_matches_oracle():
@@ -109,18 +111,18 @@ def test_small_prime_limit_leaves_composite_leftovers():
     # with a smoothness-style limit the cofactor is only limit-rough
     rows = {tf.n: tf for tf in _run(1, 1, 40, prime_limit=13)}
     assert rows[38].cofactor == 289  # 17^2 survives a limit of 13
-    assert rows[38].value() == 38 * 38 + 1
+    assert reconstruct(rows[38]) == 38 * 38 + 1
 
 
 def test_large_b_small_n_fallback_keeps_cofactor_prime():
     # 3n^2 <= |b| zone: forced through the full factorization oracle
     rows = _run(10 ** 9, 1, 50)
     for tf in rows:
-        assert tf.value() == tf.n * tf.n + 10 ** 9
+        assert reconstruct(tf) == tf.n * tf.n + 10 ** 9
         assert tf.cofactor == 1 or arith.is_prime(tf.cofactor)
     neg = _run(-(10 ** 9 + 7), 1, 50)
     for tf in neg:
-        assert tf.value() == tf.n * tf.n - (10 ** 9 + 7)
+        assert reconstruct(tf) == tf.n * tf.n - (10 ** 9 + 7)
 
 
 def test_config_validation():

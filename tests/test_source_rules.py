@@ -1,7 +1,8 @@
 """Checks that must hold under `python -O`, a guard that keeps them so, a
 guard that keeps the package free of third-party imports, one that keeps
-its start-up free of slow stdlib imports, and one that keeps every
-command-line option in use."""
+its start-up free of slow stdlib imports, one that keeps every
+command-line option in use, and one that keeps every public function
+reached from the package itself."""
 
 import argparse
 import ast
@@ -16,15 +17,21 @@ SRC = Path(quadfactor.__file__).parent
 
 
 def test_sqrt_mod_rejects_composite_modulus_under_O():
-    code = ("from quadfactor import arith, errors\n"
+    # explicit raises that replaced asserts: a D y^2 - 1 that is no square,
+    # and density bounds that miss the published decimals
+    code = ("from quadfactor import constants, errors, stormer\n"
             "try:\n"
-            "    arith.sqrt_mod(4, 15)\n"
-            "except errors.NotPrimeError:\n"
+            "    stormer._x_from_y(2, 2)\n"
+            "except ArithmeticError:\n"
+            "    print('raised')\n"
+            "try:\n"
+            "    constants._bounds(1.5, 1.5)\n"
+            "except errors.NonConvergenceError:\n"
             "    print('raised')\n")
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                          cwd=SRC.parent, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "raised\n"
+    assert out.stdout == "raised\nraised\n"
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
@@ -85,3 +92,28 @@ def test_every_cli_option_is_read():
                 if not isinstance(opt, argparse._HelpAction) and opt.dest not in read | ignored:
                     unread.append(f"{name}: {opt.dest}")
     assert unread == []
+
+
+def test_every_public_function_is_reached():
+    # a public function or class that no module of the package refers to
+    # serves only tests; these few serve as reference points instead
+    kept = {
+        "arith.p_plus",  # P+ oracle of the census-mixed benchmark check
+        "primitive.classify_definitional",  # the definitional oracle
+        "primitive.classify_range",  # acceptance criterion 1 reads its primitive_prime
+    }
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name.split(".")[-1] for alias in node.names)
+    unreached = [f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.name.startswith("_") and node.name not in used]
+    assert set(unreached) == kept

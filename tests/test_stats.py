@@ -178,12 +178,12 @@ def test_sums_are_correctly_rounded():
 
 
 def test_vx_examples():
-    spec = arith.validate_b(1)
-    assert stats.vx(spec, 5, 10) == 2
+    hist = stats.nx_histogram(arith.validate_b(1), 5)
+    assert stats.vx(hist, 10) == 2
     # above 4x^2 + b no prime can divide any term
-    assert stats.vx(spec, 5, 4 * 25 + 2) == 0
+    assert stats.vx(hist, 4 * 25 + 2) == 0
     with pytest.raises(WindowOutOfRangeError):
-        stats.vx(spec, 5, 9)
+        stats.vx(hist, 9)
 
 
 def test_chowla_todd_hand_and_identity_oracle():

@@ -56,13 +56,21 @@ def test_enumerate_D_examples():
         stormer.enumerate_D(200)  # 21 admissible primes below 200
 
 
+def pell_fundamental(D, digit_cap=stormer.DEFAULT_DIGIT_CAP):
+    """Least (x, y) > 0 with x^2 - D y^2 = -1, or None, as stormer_search
+    finds it under digit_cap; CapExceededError past the cap."""
+    cap_bits = stormer._cap_bits(digit_cap)
+    y = stormer._fundamental_y(D, cap_bits, stormer._max_quotients(cap_bits))
+    return None if y is None else (stormer._x_from_y(D, y), y)
+
+
 def test_negative_pell_fundamentals():
-    assert stormer.negative_pell_fundamental(2) == (1, 1)
-    assert stormer.negative_pell_fundamental(5) == (2, 1)
-    assert stormer.negative_pell_fundamental(13) == (18, 5)
-    assert stormer.negative_pell_fundamental(3) is None
-    assert stormer.negative_pell_fundamental(34) is None  # even period
-    x, y = stormer.negative_pell_fundamental(29)
+    assert pell_fundamental(2) == (1, 1)
+    assert pell_fundamental(5) == (2, 1)
+    assert pell_fundamental(13) == (18, 5)
+    assert pell_fundamental(3) is None
+    assert pell_fundamental(34) is None  # even period
+    x, y = pell_fundamental(29)
     assert x * x - 29 * y * y == -1
 
 
@@ -102,8 +110,9 @@ def pell_oracle():
 
 
 def test_negative_pell_matches_full_period_oracle(pell_oracle):
+    # at the default digit cap, the path stormer_search takes
     for D, want in pell_oracle.items():
-        assert stormer.negative_pell_fundamental(D) == want, D
+        assert pell_fundamental(D) == want, D
 
 
 def test_quotient_bound_is_a_fibonacci_bound():
@@ -128,15 +137,15 @@ def test_digit_cap_flags_only_fundamentals_past_the_cap(pell_oracle, digit_cap):
         bits = 0 if want is None else want[0].bit_length()
         if bits > cap_bits + 2 and want[0] != arith.isqrt(D):
             with pytest.raises(CapExceededError):
-                stormer.negative_pell_fundamental(D, digit_cap)
+                pell_fundamental(D, digit_cap)
             refused += 1
             continue
         if want is None and naive_half_period(D) < bound:
-            assert stormer.negative_pell_fundamental(D, digit_cap) is None, D
+            assert pell_fundamental(D, digit_cap) is None, D
             unsolvable += 1
             continue
         try:
-            assert stormer.negative_pell_fundamental(D, digit_cap) == want, D
+            assert pell_fundamental(D, digit_cap) == want, D
         except CapExceededError:
             assert bits > cap_bits if want else naive_half_period(D) >= bound, D
     assert refused > 0 and unsolvable > 0
@@ -192,7 +201,7 @@ def test_pell_chain_examples():
 
 def test_chain_matches_direct_powers():
     for D in (2, 5, 10, 13, 26, 130):
-        fund = stormer.negative_pell_fundamental(D)
+        fund = pell_fundamental(D)
         if fund is None:
             continue
         for sol in stormer.pell_solutions_odd(D, fund, 9):
