@@ -133,22 +133,14 @@ def _first_hits(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
 def classify_range(spec: SequenceSpec, x: int) -> Iterator[PrimitiveStatus]:
     """Classify n = 1..x by the first-hit kernel, one PrimitiveStatus per n.
 
-    SieveConfig checks x at the call, before any segment runs.
+    SieveConfig checks x at the call, before any segment runs.  An n in a
+    segment's split reports the largest of its new primes; any other n
+    has new[i] as its one new prime, or none when new[i] is 1.
     """
-    return _statuses(_first_hits(spec, SieveConfig(1, x + 1)))
-
-
-def _statuses(segments) -> Iterator[PrimitiveStatus]:
-    """One PrimitiveStatus per n from the (lo, new, split) segments of _first_hits."""
-    for lo, new, split in segments:
-        for n, v in enumerate(new, lo):
-            if n in split:
-                qs = split[n]
-                yield PrimitiveStatus(n, True, max(qs), len(qs) > 1)
-            elif v > 1:
-                yield PrimitiveStatus(n, True, v)
-            else:
-                yield PrimitiveStatus(n, False)
+    return (PrimitiveStatus(n, True, max(split[n]), len(split[n]) > 1) if n in split
+            else PrimitiveStatus(n, True, v) if v > 1 else PrimitiveStatus(n, False)
+            for lo, new, split in _first_hits(spec, SieveConfig(1, x + 1))
+            for n, v in enumerate(new, lo))
 
 
 def rho(spec: SequenceSpec, x: int,

@@ -143,7 +143,7 @@ def sieve_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[TermFactorizat
         yield from _sieve_segment(b, slo, min(slo + SEGMENT, cfg.hi), pairs, oracle_cut)
 
 
-def lifted_roots(spec: SequenceSpec, limit: int, top: int) -> Tuple[list, list]:
+def lifted_roots(spec: SequenceSpec, limit: int, top: int) -> Tuple[list, dict]:
     """Roots of n^2 + b modulo prime powers, for the slice kernel.
 
     Returns (lifted, fallback).  lifted holds (p, ((p^k, r), ...)) for
@@ -152,16 +152,16 @@ def lifted_roots(spec: SequenceSpec, limit: int, top: int) -> Tuple[list, list]:
     r, p - r, and each lifts to exactly one root mod p^(k+1) by Hensel's
     lemma, r - (r^2 + b) / (2r) with the inverse taken mod p, because
     the derivative 2r is a unit mod p; the roots mod p^k are r, p^k - r.
-    fallback holds (p, roots mod p) for p = 2 and the primes dividing b,
-    where roots mod p^k can multiply (b = 2^30 has 2^15 roots mod 2^30)
-    and are not lifted.
+    fallback maps p = 2 and the primes dividing b to their one root mod
+    p; their roots mod p^k can multiply (b = 2^30 has 2^15 roots mod
+    2^30) and are not lifted.
     """
     b = spec.b
-    lifted, fallback = [], []
+    lifted, fallback = [], {}
     for rs in sieve_primes(spec, limit):
         p = rs.p
         if p == 2 or b % p == 0:
-            fallback.append((p, rs.roots))
+            fallback[p] = rs.roots[0]
         elif p <= top:  # p > top divides no value in range
             lifted.append((p, tuple(_hensel_levels(p, rs.roots[0], b, top))))
     return lifted, fallback
@@ -243,22 +243,24 @@ def _scheduler(start: int, end: int) -> tuple:
     return add, divide
 
 
-def _divide_fallback(rem: list, lo: int, fallback: list, exps: dict) -> None:
-    """Divide each fallback (p, roots mod p) out of its hits in rem, the segment at lo.
+def _divide_fallback(rem: list, lo: int, fallback: dict, exps: dict) -> None:
+    """Divide each fallback prime out of its hits in rem, the segment at lo.
 
-    Each hit is divided by p in a loop until p no longer divides it, and
-    exps[p] is set to the number of divisions when there are any.
+    fallback maps p to its one root r mod p.  p divides every value at
+    n == r, so each hit is divided by p once and then in a loop until p
+    no longer divides it; exps[p] is set to the number of divisions when
+    there are any.
     """
     length = len(rem)
-    for p, roots in fallback:
-        e = 0
-        for r in roots:
-            for i in range((r - lo) % p, length, p):
-                v = rem[i]  # >= 1, since -b is not a square
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                rem[i] = v
+    for p, r in fallback.items():
+        hits = range((r - lo) % p, length, p)
+        e = len(hits)
+        for i in hits:
+            v = rem[i] // p  # >= 1, since -b is not a square
+            while v % p == 0:
+                v //= p
+                e += 1
+            rem[i] = v
         if e:
             exps[p] = e
 

@@ -24,21 +24,19 @@ for odd periods only, builds q_m and q_{m-1} from them, one big
 multiply per quotient.  x_1 = isqrt(D y_1^2 - 1) is recovered, and
 checked, only for a y_1 that survives the prune below.
 
-The digit cap bounds p_i q_i, which grows with i.  Since p_i >= q_i >=
-F_{i+1} >= phi^(i-1) (Fibonacci, golden ratio), some p_i q_i has passed
-the cap once i reaches a step bound M fixed by the cap alone, and pass 1
-gives up at M quotients.  For an odd period the last convergent
-decides: p_m^2 = D q_m^2 + (-1)^(m+1) Q_{m+1}, and a square of bit
-length b has a root of bit length ceil(b/2), so p_m q_m is bounded with
-no square root taken.
+The digit cap bounds two things.  Pass 1 gives up at a step bound M
+fixed by the cap alone: p_i >= q_i >= F_{i+1} >= phi^(i-1) (Fibonacci,
+golden ratio), so once i reaches M, p_i q_i has passed the cap, and for
+an odd period so has x_1 > p_m q_m.  The chain walk stops once x_k
+passes the cap, from x_1 on.  A period settled below M is always turned
+into its y_1, however long: the prune below needs no digit bound.
 
 The prune: (x_1 + y_1 sqrt(D))^k = x_k + y_k sqrt(D) makes y_k the sum
 over odd j of C(k, j) x_1^(k-j) y_1^j D^((j-1)/2), so y_1 | y_k, and a
 y_1 with a prime factor >= B rules out the whole chain.  Arithmetic is
 exact.  truncated_Ds lists the D whose search is incomplete: the period
-was not settled within M quotients, or p_m q_m (and so x_1, which
-exceeds it) passes the cap, or y_1 is B-smooth and the chain reaches the
-cap before K_max.  An even period found within M quotients is settled.
+was not settled within M quotients, or y_1 is B-smooth and the chain
+passes the cap before K_max.  Every other D is settled.
 """
 
 from itertools import combinations
@@ -98,7 +96,7 @@ def _cap_bits(digit_cap: int) -> int:
 def _max_quotients(cap_bits: int) -> int:
     """A quotient count m by which p_m q_m has surely passed cap_bits.
 
-    p_m >= q_m >= F_{m+1} >= phi^(m-1), so the per-step test
+    p_m >= q_m >= F_{m+1} >= phi^(m-1), so
     p_m.bit_length() + q_m.bit_length() - 1 > cap_bits holds once
     (m - 1) log2(phi) >= (cap_bits + 1) / 2.
     """
@@ -106,9 +104,8 @@ def _max_quotients(cap_bits: int) -> int:
 
 
 def _half_period(D: int, max_quotients: int):
-    """Pass 1, on small integers: ([a_1, ..., a_m], Q_m) for the odd period
-    2m + 1 of sqrt(D) (Q_m = Q_{m+1}), or None for an even period or a
-    square D.
+    """Pass 1, on small integers: [a_1, ..., a_m] for the odd period
+    2m + 1 of sqrt(D), or None for an even period or a square D.
 
     Q_{i+1} = Q_{i-1} + a_i (P_i - P_{i+1}) with Q_{-1} = D saves the
     division in Q_{i+1} = (D - P_{i+1}^2) / Q_i.  CapExceededError once m
@@ -126,7 +123,7 @@ def _half_period(D: int, max_quotients: int):
             return None
         Q_next = Q_prev + a * (P - P_next)
         if Q_next == Q:
-            return quotients, Q
+            return quotients
         Q_prev = Q
         a = (a0 + P_next) // Q_next
         P, Q = P_next, Q_next
@@ -134,22 +131,16 @@ def _half_period(D: int, max_quotients: int):
     raise CapExceededError(f"continued fraction of sqrt({D}) passed the digit cap")
 
 
-def _fundamental_y(D: int, cap_bits: int, max_quotients: int) -> Optional[int]:
+def _fundamental_y(D: int, max_quotients: int) -> Optional[int]:
     """y_1 of the fundamental solution, or None; CapExceededError once the
-    half period reaches max_quotients or p_m q_m passes cap_bits."""
-    half = _half_period(D, max_quotients)
-    if half is None:
+    half period reaches max_quotients."""
+    quotients = _half_period(D, max_quotients)
+    if quotients is None:
         return None
-    quotients, Q = half
     q0, q1 = 0, 1  # q_{i-1}, q_i
     for a in quotients:
         q0, q1 = q1, a * q1 + q0
-    qq = q1 * q1
-    if quotients:
-        pp = D * qq + (Q if len(quotients) % 2 else -Q)  # p_m^2
-        if (pp.bit_length() + 1) // 2 + q1.bit_length() - 1 > cap_bits:
-            raise CapExceededError(f"continued fraction of sqrt({D}) passed the digit cap")
-    return qq + q0 * q0
+    return q1 * q1 + q0 * q0
 
 
 def _x_from_y(D: int, y: int) -> int:
@@ -218,14 +209,13 @@ def stormer_search(B: int, k_max_override: Optional[int] = None,
         k_max += 1
     allowed = allowed_primes(B)
     small = arith.primes_upto(B - 1)
-    cap_bits = _cap_bits(digit_cap)
-    max_quotients = _max_quotients(cap_bits)
+    max_quotients = _max_quotients(_cap_bits(digit_cap))
 
     found: Set[int] = set()
     truncated: List[int] = []
     for D in enumerate_D(B):
         try:
-            y1 = _fundamental_y(D, cap_bits, max_quotients)
+            y1 = _fundamental_y(D, max_quotients)
         except CapExceededError:
             truncated.append(D)
             continue

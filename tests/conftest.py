@@ -44,6 +44,20 @@ def naive_prime_set(m):
     return {p for p, _ in naive_factorize(m)} if m > 1 else set()
 
 
+def naive_extra_new_primes(b, x):
+    """E_b(x): the sum of (number of primes new at n) - 1 over the n <= x
+    with more than one new prime, a prime being new at n when it divides
+    |n^2 + b| and no earlier term.  Factors every term and keeps the set
+    of primes seen so far."""
+    seen = set()
+    extra = 0
+    for n in range(1, x + 1):
+        primes = naive_prime_set(abs(n * n + b))
+        extra += max(0, len(primes - seen) - 1)
+        seen |= primes
+    return extra
+
+
 def naive_is_smooth(m, B):
     """True when every prime factor of m >= 1 is below B: trial division by
     every integer below B leaves 1."""

@@ -120,6 +120,16 @@ def test_criterion_3_density_bounds_at_1e6(rho_1e6):
     assert reg == pytest.approx(4.081972195987798, rel=1e-9)
 
 
+def test_criterion_3_rho_is_the_prime_count_of_Q_x(rho_1e6, cheb):
+    # Every prime of Q_x is new at exactly one n <= x, so
+    # rho_b(x) + E_b = s + s', with E_b the new primes beyond the first at
+    # each n.  rho comes from the first-hit kernel, s + s' from the slice
+    # kernel: 704537 = 74417 + 630120 at x = 10^6.
+    e_1 = 0  # b = 1 has no oracle zone, and P_1 = 2 at the one fallback root
+    rep = cheb[10 ** 6]
+    assert rho_1e6[0].checkpoints[-1][1] + e_1 == rep.s + rep.s_prime == RHO_1E6
+
+
 def test_criterion_4_analytic_constants():
     sigma = constants.solve_sigma()
     theta, seq = constants.solve_theta()

@@ -171,7 +171,7 @@ def _roots_mod_powers(b, p, top):
     return out
 
 
-def _fallback_hits(b, p, roots, top):
+def _fallback_hits(b, p, root, top):
     """{p^k: residues mod p^k of the n whose value the fallback divides by p^k}.
 
     Runs the fallback divider of the slice kernel with p as its only
@@ -186,7 +186,7 @@ def _fallback_hits(b, p, roots, top):
         hi = min(lo + (1 << 16), big + 1)
         vals = [abs(n * n + b) for n in range(lo, hi)]
         rem, exps = vals[:], {}
-        sieve._divide_fallback(rem, lo, [(p, roots)], exps)
+        sieve._divide_fallback(rem, lo, {p: root}, exps)
         removed = 0
         for i in range(hi - lo):
             q, c = divmod(vals[i], rem[i])
@@ -208,9 +208,8 @@ def test_lifted_roots_and_fallback_hits_match_brute_force():
     small = [p for p in range(2, 51) if naive_is_prime(p)]
     for b in LIFT_POOL:
         spec = arith.validate_b(b)
-        lifted, fallback = sieve.lifted_roots(spec, 50, top)
+        lifted, fall = sieve.lifted_roots(spec, 50, top)
         table = dict(lifted)
-        fall = dict(fallback)
         assert set(fall) == {p for p in small if p == 2 or b % p == 0}, b
         for p in small:
             want = _roots_mod_powers(b, p, top)

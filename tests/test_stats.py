@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from quadfactor import arith, sieve, stats
+from quadfactor import arith, primitive, sieve, stats
 from quadfactor.errors import (OutOfDomainError, PreconditionViolatedError,
                                WindowOutOfRangeError)
 from quadfactor.sieve import SieveConfig
 
-from conftest import (li, naive_chowla_todd_count, naive_factorize, naive_p_plus,
-                      naive_prime_flags, naive_prime_pi)
+from conftest import (li, naive_chowla_todd_count, naive_extra_new_primes,
+                      naive_factorize, naive_p_plus, naive_prime_flags, naive_prime_pi)
 
 # p = 2 and p | b, p^2 | b, b < 0 with negative terms; -73600 puts every
 # n <= 156 in the sieve's oracle zone (3n^2 <= |b|).  chebyshev_report
@@ -34,6 +34,24 @@ def test_chebyshev_small_oracle():
     assert rep.s == 4 and rep.s_prime == 3
     assert rep.t == 1 and rep.u == 2  # K=4: only 37 sits in (20, 40)
     assert rep.sum_Sprime == pytest.approx(sum(math.log(p) for p in (37, 41, 101)), rel=1e-12)
+
+
+def test_rho_plus_extra_new_primes_is_the_prime_count():
+    # Every prime of Q_x is new at exactly one n <= x, so rho_b(x) counts
+    # the primes of Q_x, s + s', less E_b, the new primes beyond the first
+    # at each n.  rho comes from the first-hit kernel, s + s' from the
+    # slice kernel, E_b from the naive oracle.
+    pool = (1, -2, 7, 5, 24, 1000, -75001)
+    extra = {}
+    for b in pool:
+        spec = arith.validate_b(b)
+        for x in (100, 2000):
+            rho = primitive.rho(spec, x).checkpoints[-1][1]
+            rep = stats.chebyshev_report(spec, x)
+            extra[b, x] = naive_extra_new_primes(b, x)
+            assert rho + extra[b, x] == rep.s + rep.s_prime, (b, x)
+    # not vacuous: E_b > 0 for four of the seven b
+    assert [extra[b, 2000] for b in pool] == [0, 0, 0, 1, 2, 5, 9]
 
 
 def test_chebyshev_identity_and_partition():

@@ -59,8 +59,7 @@ def test_enumerate_D_examples():
 def pell_fundamental(D, digit_cap=stormer.DEFAULT_DIGIT_CAP):
     """Least (x, y) > 0 with x^2 - D y^2 = -1, or None, as stormer_search
     finds it under digit_cap; CapExceededError past the cap."""
-    cap_bits = stormer._cap_bits(digit_cap)
-    y = stormer._fundamental_y(D, cap_bits, stormer._max_quotients(cap_bits))
+    y = stormer._fundamental_y(D, stormer._max_quotients(stormer._cap_bits(digit_cap)))
     return None if y is None else (stormer._x_from_y(D, y), y)
 
 
@@ -124,31 +123,29 @@ def test_quotient_bound_is_a_fibonacci_bound():
 
 @pytest.mark.parametrize("digit_cap", [1, 3, 10])
 def test_digit_cap_flags_only_fundamentals_past_the_cap(pell_oracle, digit_cap):
-    # An odd period is refused exactly when its last convergents have
-    # p_m q_m past the cap, and x_1 = p_m q_m + p_{m-1} q_{m-1} < 2 p_m q_m,
-    # so an x_1 within the cap always comes back and one more than two bits
-    # past it never does; D = a^2 + 1 returns (a, 1) before any check.  An
-    # even period always gives None, unless its half period reaches the
-    # Fibonacci step bound, where the expansion may stop first.
+    # The cap bounds only the period search: a half period below the
+    # Fibonacci step bound always comes back as the oracle's fundamental,
+    # however far its x_1 is past the cap, and one at or above the
+    # quotient bound never does.  In between the search may stop either
+    # way.
     cap_bits = stormer._cap_bits(digit_cap)
     bound = fibonacci_step_bound(cap_bits)
-    refused = unsolvable = 0
+    refused = past_cap = 0
     for D, want in pell_oracle.items():
-        bits = 0 if want is None else want[0].bit_length()
-        if bits > cap_bits + 2 and want[0] != arith.isqrt(D):
+        half = naive_half_period(D)
+        if half >= stormer._max_quotients(cap_bits):
             with pytest.raises(CapExceededError):
                 pell_fundamental(D, digit_cap)
             refused += 1
             continue
-        if want is None and naive_half_period(D) < bound:
-            assert pell_fundamental(D, digit_cap) is None, D
-            unsolvable += 1
-            continue
         try:
-            assert pell_fundamental(D, digit_cap) == want, D
+            got = pell_fundamental(D, digit_cap)
         except CapExceededError:
-            assert bits > cap_bits if want else naive_half_period(D) >= bound, D
-    assert refused > 0 and unsolvable > 0
+            assert half >= bound, D
+            continue
+        assert got == want, D
+        past_cap += want is not None and want[0].bit_length() > cap_bits
+    assert refused > 0 and past_cap > 0
 
 
 def test_prune_walks_only_chains_with_smooth_y1(monkeypatch, pell_oracle):
@@ -176,18 +173,16 @@ def test_prune_walks_only_chains_with_smooth_y1(monkeypatch, pell_oracle):
             for sol in chain:
                 assert sol.y % y1 == 0, (D, sol.k)
 
-        # Under a tight cap a D is truncated only when its x_1 is past the
-        # cap, its even period reaches the Fibonacci step bound, or its
-        # chain stops before k_max.
+        # Under a tight cap a D is truncated only when its half period
+        # reaches the Fibonacci step bound or its chain, x_1 included,
+        # stops before k_max.
         walked.clear()
         res = stormer.stormer_search(B, digit_cap=3)
         assert {D for D, _, _, _ in walked} <= set(smooth_y1), B
         short = {D for D, _, k_max, chain in walked if len(chain) < (k_max + 1) // 2}
         assert res.truncated_Ds, B
         for D in res.truncated_Ds:
-            f = oracle[D]
-            assert (D in short or (f is not None and f[0].bit_length() > cap_bits)
-                    or (f is None and naive_half_period(D) >= bound)), (B, D)
+            assert D in short or naive_half_period(D) >= bound, (B, D)
 
 
 def test_pell_chain_examples():
@@ -264,3 +259,16 @@ def test_stormer_B101_reproduces_published_maximum():
     assert res.max_n == 24208144
     assert len(res.solutions) == 156
     assert naive_factorize(24208144 ** 2 + 1)[-1][0] < 101
+
+
+@pytest.mark.slow
+def test_stormer_B101_settles_every_D_under_a_wide_cap():
+    # A cap wide enough for every half period at B = 101 leaves no D
+    # unsettled; at the default cap only the period search stops.
+    res = stormer.stormer_search(101, digit_cap=101000)
+    assert res.truncated_Ds == []
+    assert len(res.solutions) == 156
+    assert res.max_n == 24208144
+    bound = fibonacci_step_bound(stormer._cap_bits(stormer.DEFAULT_DIGIT_CAP))
+    for D in stormer.stormer_search(101).truncated_Ds:
+        assert naive_half_period(D) >= bound, D
