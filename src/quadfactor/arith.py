@@ -1,11 +1,11 @@
 """Exact integer arithmetic primitives.
 
-Modular square roots, deterministic 64-bit primality, largest prime
-factor, and evaluation of the quadratic terms n^2 + b.  Everything here
-is a pure function over immutable inputs and safe to call concurrently.
+Modular square roots, deterministic 64-bit primality, factorization
+(trial division by the Miller-Rabin base primes, then Pollard's rho),
+largest prime factor, and evaluation of the quadratic terms n^2 + b.
 """
 
-from itertools import compress
+from itertools import compress, count
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -168,93 +168,48 @@ def _prime_segments(top: int):
         yield lo, flags
 
 
-def _pollard_brent(m: int) -> int:
-    """Nontrivial factor of an odd composite m, Brent's cycle variant."""
-    if m % 2 == 0:
-        return 2
-    x0, c, step = 2, 1, 0
-    while True:
-        y, r, q, g = x0, 1, 1, 1
-        x = y
+def _rho(m: int) -> int:
+    """A proper factor of a composite m with no prime factor in _MR_BASES.
+
+    Pollard's rho (BIT 15, 1975) on x -> x^2 + c with Floyd's cycle
+    test, moving on to the next c when the cycle closes on m itself.
+    """
+    for c in count(1):
+        x, y, g = 2, 2, 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % m
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % m
-                    q = q * abs(x - y) % m
-                g = gcd(q, m)
-                k += 128
-            r *= 2
-        if g == m:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % m
-                g = gcd(abs(x - ys), m)
+            x = (x * x + c) % m
+            y = (y * y + c) % m
+            y = (y * y + c) % m
+            g = gcd(x - y, m)
         if g != m:
             return g
-        # rare cycle degeneracy: restart with a shifted polynomial
-        c += 1
-        step += 1
-        x0 += step
 
 
 def factorize(m: int) -> list:
     """Complete factorization of m >= 1 as sorted (prime, exponent) pairs.
 
-    Trial division by a 2/3/5 wheel with a primality early-exit, falling
-    back to Pollard-Brent rho for large semiprime leftovers.  Intended
-    as a reference oracle for word-sized inputs, not a bulk tool.
+    The primes of _MR_BASES are divided out, and what is left is split
+    by _rho on a work list until is_prime accepts every piece.  It
+    factors |b| and the oracle-zone leftovers of the first-hit kernel,
+    the oracle-zone cofactors of the sieve dump, the nx and chebyshev
+    cofactors above the square of the sieve limit, and P+ for p_plus.
     """
     if m < 1:
         raise OutOfDomainError(f"cannot factor {m}")
     out = {}
-
-    def _add(p, e=1):
-        out[p] = out.get(p, 0) + e
-
-    for p in (2, 3, 5):
+    for p in _MR_BASES:
         while m % p == 0:
-            _add(p)
             m //= p
-    if m > 1 and is_prime(m):
-        _add(m)
-        m = 1
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    wi = 0
-    while m > 1 and d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                _add(d)
-                m //= d
-            if m > 1 and is_prime(m):
-                _add(m)
-                m = 1
+            out[p] = out.get(p, 0) + 1
+    work = [m] if m > 1 else []
+    while work:
+        m = work.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
         else:
-            d += wheel[wi]
-            wi = (wi + 1) % 8
-            if d > 1 << 20:
-                _split(m, _add)
-                m = 1
-    if m > 1:
-        _add(m)
+            d = _rho(m)
+            work += (d, m // d)
     return sorted(out.items())
-
-
-def _split(m, add):
-    """Recursively split m (all prime factors > 2^20) into primes."""
-    if m == 1:
-        return
-    if is_prime(m):
-        add(m)
-        return
-    g = _pollard_brent(m)
-    _split(g, add)
-    _split(m // g, add)
 
 
 def p_plus(m: int) -> int:

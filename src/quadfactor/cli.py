@@ -119,7 +119,11 @@ def build_parser() -> _Parser:
     p.add_argument("--bound", type=int, required=True, help="smoothness bound B >= 3")
     p.add_argument("--kmax", type=int, default=None, help="odd solution-index cutoff override")
     p.add_argument("--digit-cap", type=int, default=stormer.DEFAULT_DIGIT_CAP,
-                   help="decimal-digit cap per chain element")
+                   help="decimal-digit cap (default %(default)s): it stops each Pell "
+                        "chain at the first element past this many digits, and it "
+                        "fixes the period bound, the quotient count M after which "
+                        "pass 1 leaves a D unsettled; --digit-cap 101000 settles "
+                        "every D at --bound 101")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("sieve", help="raw dump: exact factorization of n^2 + b "

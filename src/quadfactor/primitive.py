@@ -73,8 +73,7 @@ def classify_definitional(spec: SequenceSpec, x: int) -> Iterator[PrimitiveStatu
     """Definitional scan of n = 1..x with an incrementally grown prime set."""
     seen = set()
     for n in range(1, x + 1):
-        av = abs(arith.term(spec, n))
-        primes = [p for p, _ in arith.factorize(av)] if av > 1 else []
+        primes = [p for p, _ in arith.factorize(abs(arith.term(spec, n)))]
         yield _new_prime_status(n, primes, seen)
 
 

@@ -8,10 +8,10 @@ Whatever survives the divisions is the cofactor.
 
 With the default prime_limit = 2*hi the cofactor is 1 or a single prime
 greater than 2n for every term (two factors above 2*hi would multiply
-past n^2 + b once 3n^2 > |b|; the handful of smaller n are fully
-factored by the oracle instead).  Smaller limits are allowed, e.g. for
-smoothness scans, in which case the cofactor is merely a product of
-primes above the limit.
+past n^2 + b once 3n^2 > |b|; arith.factorize splits the cofactors of
+the handful of smaller n, so those terms are fully factored).  Smaller
+limits are allowed, e.g. for smoothness scans, in which case the other
+cofactors are merely products of primes above the limit.
 
 The kernels here and in primitive scan [lo, hi) in ascending segments
 of the one fixed length SEGMENT (read at run time, so a test can patch
@@ -96,12 +96,12 @@ def _sieve_segment(b: int, lo: int, hi: int, pairs: list, oracle_cut: int) -> li
     """Factor all terms for n in [lo, hi); pure function of its arguments.
 
     oracle_cut is the largest n for which 3n^2 <= |b|; at or below it a
-    prime cofactor is not forced, so those terms go to the full
-    factorization oracle instead.
+    prime cofactor is not forced, so the cofactors of those terms are
+    factored by arith.factorize.
     """
     length = hi - lo
     vals = _values(b, lo, hi)
-    signs = None
+    signs = [1] * length
     if lo * lo + b < 0:
         signs = [-1 if n * n + b < 0 else 1 for n in range(lo, hi)]
     facs = [[] for _ in range(length)]
@@ -109,29 +109,20 @@ def _sieve_segment(b: int, lo: int, hi: int, pairs: list, oracle_cut: int) -> li
     for p, r in pairs:
         i = (r - lo) % p
         while i < length:
-            v = vals[i]
-            if v > 1:  # oracle-zone units and |P_n| = 1 terms have nothing to divide
+            v = vals[i] // p  # a hit: p divides the value
+            e = 1
+            while v % p == 0:
                 v //= p
-                e = 1
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                vals[i] = v
-                facs[i].append((p, e))
+                e += 1
+            vals[i] = v
+            facs[i].append((p, e))
             i += p
 
-    out = []
-    n = lo
-    for i in range(length):
-        sign = 1 if signs is None else signs[i]
-        if n <= oracle_cut:
-            av = abs(n * n + b)
-            fs = tuple(arith.factorize(av)) if av > 1 else ()
-            out.append(TermFactorization(n, sign, fs, 1))
-        else:
-            out.append(TermFactorization(n, sign, tuple(facs[i]), vals[i]))
-        n += 1
-    return out
+    for i in range(min(length, oracle_cut + 1 - lo)):
+        facs[i] += arith.factorize(vals[i])  # primes above every sieve prime
+        vals[i] = 1
+    return [TermFactorization(n, sign, tuple(fs), c)
+            for n, sign, fs, c in zip(range(lo, hi), signs, facs, vals)]
 
 
 def sieve_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[TermFactorization]:

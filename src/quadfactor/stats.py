@@ -69,7 +69,7 @@ class NxHistogram(NamedTuple):
 
 def _split_cofactor(c: int, limit: int):
     """Primes of a sieve cofactor; a single prime unless c > limit^2."""
-    if c <= limit * limit or arith.is_prime(c):
+    if c <= limit * limit:
         yield c, 1
     else:
         yield from arith.factorize(c)

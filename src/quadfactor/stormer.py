@@ -208,7 +208,6 @@ def stormer_search(B: int, k_max_override: Optional[int] = None,
     if k_max % 2 == 0:
         k_max += 1
     allowed = allowed_primes(B)
-    small = arith.primes_upto(B - 1)
     max_quotients = _max_quotients(_cap_bits(digit_cap))
 
     found: Set[int] = set()
@@ -230,7 +229,7 @@ def stormer_search(B: int, k_max_override: Optional[int] = None,
             if _reduce_by(sol.y, allowed) != 1:
                 continue
             n = sol.x
-            if _reduce_by(n * n + 1, small) == 1:
+            if _reduce_by(n * n + 1, allowed) == 1:
                 found.add(n)
     sols = sorted(found)
     return SmoothResult(B, sols, max(sols) if sols else 0, truncated)

@@ -120,7 +120,14 @@ def test_p_plus_matches_naive_factorization():
         assert arith.p_plus(m) == naive_p_plus(m)
 
 
-def test_factorize_reconstructs_random_values():
+def test_factorize_reconstructs_random_values(monkeypatch):
+    calls = []
+    factorize = arith.factorize
+
+    def counted(m):
+        calls.append(m)
+        return factorize(m)
+    monkeypatch.setattr(arith, "factorize", counted)
     rng = random.Random(77)
     for _ in range(300):
         m = rng.randrange(2, 10 ** 12)
@@ -131,9 +138,25 @@ def test_factorize_reconstructs_random_values():
             v *= p ** e
         assert v == m
         assert fac == sorted(fac)
-    # a semiprime past the trial-division horizon
-    m = 1000003 * 1000033
-    assert arith.factorize(m) == [(1000003, 1), (1000033, 1)]
+    # prime powers, a Carmichael number, and products of primes above the
+    # Miller-Rabin bases up to a balanced 64-bit semiprime, which rho splits
+    cases = [
+        [(41, 7)],
+        [(1000003, 2)],
+        [(2 ** 31 - 1, 2)],
+        [(5, 1), (7, 1), (17, 1), (19, 1), (73, 1)],  # 825265
+        [(37, 3), (1000003, 1)],
+        [(1000003, 1), (1000033, 1)],
+        [(1048583, 1), (1048589, 1), (1048601, 1)],
+        [(4294967279, 1), (4294967291, 1)],
+    ]
+    for want in cases:
+        m = 1
+        for p, e in want:
+            m *= p ** e
+        calls.clear()
+        assert arith.factorize(m) == want
+        assert calls == [m]  # one entry: no recursion through the module attribute
 
 
 def test_factorize_small_matches_naive():

@@ -135,6 +135,15 @@ def test_stormer_json(capsys):
     assert d == {"B": 6, "solutions": [1, 2, 3, 7], "max_n": 7, "truncated_Ds": []}
 
 
+def test_stormer_help_names_period_bound(capsys):
+    # --digit-cap also fixes pass 1's quotient bound, which alone leaves
+    # D unsettled at B = 101 under the default
+    code, out, _ = run(capsys, "stormer", "--help")
+    text = " ".join(out.split())
+    assert code == 0
+    assert "period bound" in text and "--digit-cap 101000 settles every D" in text
+
+
 def test_sieve_dump(capsys):
     code, out, _ = run(capsys, "sieve", "--b", "1", "--x", "8")
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 import random
 from unittest import mock
 
@@ -115,14 +116,19 @@ def test_small_prime_limit_leaves_composite_leftovers():
 
 
 def test_large_b_small_n_fallback_keeps_cofactor_prime():
-    # 3n^2 <= |b| zone: forced through the full factorization oracle
-    rows = _run(10 ** 9, 1, 50)
-    for tf in rows:
-        assert reconstruct(tf) == tf.n * tf.n + 10 ** 9
-        assert tf.cofactor == 1 or arith.is_prime(tf.cofactor)
-    neg = _run(-(10 ** 9 + 7), 1, 50)
-    for tf in neg:
-        assert reconstruct(tf) == tf.n * tf.n - (10 ** 9 + 7)
+    # the oracle zone 3n^2 <= |b| is fully factored whatever the prime
+    # limit; past it a limit of 13 leaves 13-rough cofactors
+    for b, hi, kw in ((10 ** 9, 50, {}), (-(10 ** 9 + 7), 50, {}),
+                      (-75001, 201, {"prime_limit": 13})):
+        cut = math.isqrt(abs(b) // 3)
+        for tf in _run(b, 1, hi, **kw):
+            assert reconstruct(tf) == tf.n * tf.n + b
+            if tf.n <= cut:
+                assert tf.factors == tuple(naive_factorize(abs(tf.n * tf.n + b)))
+                assert tf.cofactor == 1
+            else:
+                assert all(p <= 13 for p, _ in tf.factors)
+                assert all(q > 13 for q, _ in naive_factorize(tf.cofactor))
 
 
 def test_config_validation():
