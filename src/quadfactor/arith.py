@@ -73,13 +73,14 @@ def _tonelli(a: int, p: int) -> int:
     """One square root of a mod p (odd prime, a a known nonzero residue).
 
     Tonelli-Shanks with a deterministic non-residue search starting from
-    2 so that results are reproducible run to run.
+    3: its one caller, _roots_mod_p, passes only p == 1 (mod 8), where 2
+    is a residue.
     """
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
+    z = 3
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
     c = pow(z, q, p)
@@ -189,7 +190,9 @@ def factorize(m: int) -> list:
     """Complete factorization of m >= 1 as sorted (prime, exponent) pairs.
 
     The primes of _MR_BASES are divided out, and what is left is split
-    by _rho on a work list until is_prime accepts every piece.  It
+    by _rho on a work list until every piece is prime: a piece below
+    41^2 has no prime factor up to 37 left, so it is prime without a
+    test, and is_prime decides the rest.  It
     factors |b| and the oracle-zone leftovers of the first-hit kernel,
     the oracle-zone cofactors of the sieve dump, the nx and chebyshev
     cofactors above the square of the sieve limit, and P+ for p_plus.
@@ -204,7 +207,7 @@ def factorize(m: int) -> list:
     work = [m] if m > 1 else []
     while work:
         m = work.pop()
-        if is_prime(m):
+        if m < 41 * 41 or is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             d = _rho(m)

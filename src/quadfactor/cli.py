@@ -22,7 +22,8 @@ import io
 import json
 import math
 import sys
-from typing import Iterable, List, Optional
+from itertools import chain, islice
+from typing import Iterable, List, Optional, Sequence
 
 from . import arith, constants, primitive, sieve, stats, stormer
 from .errors import Error, PreconditionViolatedError
@@ -38,11 +39,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _csv(rows: Iterable[list], header: List[str]) -> str:
+_CHUNK = 4096  # rows rendered by one % format
+
+
+def _csv(rows: Iterable[Sequence], header: List[str]) -> str:
+    """The header line and one line per row, as CSV text.
+
+    A float cell is written with 12 significant digits, any other cell
+    as str().  The row format comes from the first row's cell types, so
+    every column must hold one type; each chunk of _CHUNK rows is then
+    rendered by one % format, with no Python code run per cell.
+    """
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join([f"{v:.12g}" if type(v) is float else str(v) for v in row]) + "\n")
+    rows = iter(rows)
+    chunk = list(islice(rows, _CHUNK))
+    if chunk:
+        fmt = ",".join(["%.12g" if type(v) is float else "%s" for v in chunk[0]]) + "\n"
+    while chunk:
+        buf.write(fmt * len(chunk) % tuple(chain.from_iterable(chunk)))
+        chunk = list(islice(rows, _CHUNK))
     return buf.getvalue()
 
 
@@ -154,7 +170,7 @@ def _cmd_census(args) -> str:
     spec = arith.validate_b(args.b)
     rep = primitive.non_primitive_census(spec, args.x)
     if args.format == "csv":
-        return _csv(([n] for n in rep.non_primitive), ["n"])
+        return _csv(zip(rep.non_primitive), ["n"])
     return json.dumps({"b": args.b, "x": args.x, "count": rep.count,
                        "non_primitive": rep.non_primitive}) + "\n"
 

@@ -177,9 +177,11 @@ def _hensel_levels(p: int, r: int, b: int, top: int) -> list:
 
 def _values(b: int, lo: int, hi: int) -> list:
     """|n^2 + b| for n in [lo, hi)."""
-    if lo * lo + b < 0:
-        return [abs(n * n + b) for n in range(lo, hi)]
-    return [n * n + b for n in range(lo, hi)]
+    vals = [n * n + b for n in range(lo, hi)]
+    if lo * lo + b < 0:  # n^2 + b < 0 exactly for n <= isqrt(-b - 1)
+        k = min(hi, arith.isqrt(-b - 1) + 1) - lo
+        vals[:k] = [-v for v in vals[:k]]
+    return vals
 
 
 def _scheduler(start: int, end: int) -> tuple:

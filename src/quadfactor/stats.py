@@ -67,14 +67,6 @@ class NxHistogram(NamedTuple):
     weighted: float         # sum of N_x(p) log p
 
 
-def _split_cofactor(c: int, limit: int):
-    """Primes of a sieve cofactor; a single prime unless c > limit^2."""
-    if c <= limit * limit:
-        yield c, 1
-    else:
-        yield from arith.factorize(c)
-
-
 def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevReport:
     """Aggregate the exact prime decomposition of Q_x = prod_{n<=x} |n^2 + b|."""
     if x < 2:
@@ -87,7 +79,7 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
     # Every |n^2 + b| with n <= x is below L^2 for L = isqrt(x^2 + |b|) + 1,
     # so with the primes up to L divided out a cofactor above 1 is one
     # prime.  The cap 2x bounds the table once |b| reaches about 3x^2;
-    # cofactors above (2x)^2 are then split by _split_cofactor.
+    # cofactors above (2x)^2 are then split by arith.factorize.
     limit = min(bound, arith.isqrt(x * x + abs(spec.b)) + 1)
     cfg = SieveConfig(1, x + 1, prime_limit=limit)
     exps: Dict[int, int] = {}
@@ -108,7 +100,7 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
                 exps[p] = exps.get(p, 0) + e
             for c in rem:
                 if c > single:  # only when L = 2x, so every prime is >= 2x
-                    split.update(_split_cofactor(c, limit))
+                    split.update(arith.factorize(c))
                 elif c >= bound:
                     sprime.append(c)
                 elif c > 1:
@@ -137,13 +129,16 @@ def nx_histogram(spec: SequenceSpec, x: int) -> NxHistogram:
     if x < 2:
         raise PreconditionViolatedError("x must be >= 2")
     limit = 2 * x
+    single = limit * limit  # a cofactor up to this is one prime
     cfg = SieveConfig(x, 2 * x, prime_limit=limit)
     counts: Dict[int, int] = {}
     for _, rem, _ in sieve.slice_range(spec, cfg):
         for c in rem:
-            if c > 1:
-                for p, _ in _split_cofactor(c, limit):
+            if c > single:
+                for p, _ in arith.factorize(c):
                     counts[p] = counts.get(p, 0) + 1
+            elif c > 1:
+                counts[c] = counts.get(c, 0) + 1
     return NxHistogram(x, counts, sum(counts.values()),
                        math.fsum(map(mul, counts.values(), map(math.log, counts))))
 

@@ -58,6 +58,20 @@ def naive_extra_new_primes(b, x):
     return extra
 
 
+def naive_non_primitive(b, x):
+    """The n <= x whose |n^2 + b| has no primitive divisor, ascending: every
+    prime of the term already divides an earlier term.  Factors every term
+    and keeps the set of primes seen so far."""
+    seen = set()
+    out = []
+    for n in range(1, x + 1):
+        primes = naive_prime_set(abs(n * n + b))
+        if primes <= seen:
+            out.append(n)
+        seen |= primes
+    return out
+
+
 def naive_is_smooth(m, B):
     """True when every prime factor of m >= 1 is below B: trial division by
     every integer below B leaves 1."""

@@ -159,6 +159,34 @@ def test_factorize_reconstructs_random_values(monkeypatch):
         assert calls == [m]  # one entry: no recursion through the module attribute
 
 
+def test_factorize_takes_pieces_below_41_squared_as_prime(monkeypatch):
+    # with the twelve Miller-Rabin base primes divided out, a piece below
+    # 41^2 = 1681 has no prime factor up to 37 and must be prime
+    tested = []
+    is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda m: tested.append(m) or is_prime(m))
+    for m in range(1, 5000):
+        assert arith.factorize(m) == naive_factorize(m), m
+    for m in (41 * 43 * 47, 41 ** 3 * 1009, 2 ** 5 * 37 * 1657 * 1667, 1681 * 1693):
+        assert arith.factorize(m) == naive_factorize(m), m
+    assert tested and min(tested) >= 41 * 41
+
+
+def test_roots_mod_p_1_mod_8_matches_brute_force(small_primes):
+    # the Tonelli-Shanks route: 2 is a residue mod every such p, so its
+    # non-residue search starts at 3
+    for p in small_primes:
+        if p >= 2000:
+            break
+        if p % 8 != 1:
+            continue
+        brute = {}
+        for r in range(p):
+            brute.setdefault(r * r % p, []).append(r)
+        for a in range(p):
+            assert arith._roots_mod_p(a, p) == tuple(brute.get(a, ())), (a, p)
+
+
 def test_factorize_small_matches_naive():
     for m in range(1, 2000):
         assert arith.factorize(m) == naive_factorize(m)

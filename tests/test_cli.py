@@ -12,6 +12,8 @@ from quadfactor import arith, cli, stats
 from quadfactor.errors import PreconditionViolatedError
 from quadfactor.svg import render_svg
 
+from conftest import naive_non_primitive
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -47,6 +49,46 @@ def test_census_output(capsys):
     assert out.splitlines() == ["n", "3", "7", "8"]
     code, out, _ = run(capsys, "census", "--b", "1", "--x", "10", "--format", "json")
     assert json.loads(out)["non_primitive"] == [3, 7, 8]
+
+
+def _csv_reference(rows, header):
+    # the per-cell writer that cli._csv must match byte for byte
+    return "".join(",".join(f"{v:.12g}" if type(v) is float else str(v) for v in row) + "\n"
+                   for row in [header, *rows])
+
+
+def test_csv_matches_per_cell_formatting():
+    floats = [1e16, 1e-7, -0.0, 0.1 + 0.2, 2.0 ** 60, math.inf, -math.inf, math.nan, 1.0]
+    ints = [2 ** 70, 0, 1, -7, 10 ** 16, 2 ** 60, 123456789012345678, -(2 ** 70), 42]
+    strs = ["2^1 5^2", "", "%s", "100%", "7^2", "x", "-0", "inf", "%(k)s"]
+    rows = list(zip(floats, ints, strs))
+    header = ["f", "i", "s"]
+    want = _csv_reference(rows, header)
+    assert cli._csv(rows, header) == want
+    assert want.splitlines()[1:4] == ["1e+16,1180591620717411303424,2^1 5^2", "1e-07,0,", "-0,1,%s"]
+    assert cli._csv([], header) == "f,i,s\n"
+    # columns in another order, and one-column rows as census passes them
+    swapped = [(i, s, f) for f, i, s in rows]
+    assert cli._csv(swapped, ["i", "s", "f"]) == _csv_reference(swapped, ["i", "s", "f"])
+    assert cli._csv(zip(ints), ["n"]) == _csv_reference(zip(ints), ["n"])
+
+
+def test_csv_chunk_edges():
+    c = cli._CHUNK
+    for count in (0, 1, c - 1, c, c + 1, 2 * c + 1):
+        rows = [[k, k / 7, f"s{k}"] for k in range(count)]
+        want = _csv_reference(rows, ["k", "q", "s"])
+        assert cli._csv(rows, ["k", "q", "s"]) == want, count
+        assert cli._csv((r for r in rows), ["k", "q", "s"]) == want, count
+        assert want.count("\n") == count + 1
+
+
+@pytest.mark.parametrize("b", [1, -2, 7, -75001])
+def test_census_csv_matches_definitional_oracle(capsys, b):
+    x = 3000
+    code, out, _ = run(capsys, "census", "--b", str(b), "--x", str(x))
+    assert code == 0
+    assert out == "n\n" + "".join(f"{n}\n" for n in naive_non_primitive(b, x))
 
 
 def test_chebyshev_csv_header(capsys):

@@ -269,3 +269,13 @@ def test_scheduler_divides_exactly_the_lifted_primes(monkeypatch, seg):
                             rem[n - lo] //= p
                 want = [_without(b, n, lifted) for n in range(lo, hi)]
                 assert rem == want, (b, seg, start, lo)
+
+
+def test_values_negates_only_the_negative_prefix():
+    # n^2 + b < 0 exactly for n <= isqrt(-b - 1); segments that start
+    # below, at and past that point
+    for b in (-2, -3, -75001, -73600, -(2 ** 31) + 1, 7):
+        edge = max(1, math.isqrt(max(-b - 1, 0)))
+        for lo, hi in ((1, 2), (1, edge + 3), (edge, edge + 1), (edge, edge + 2),
+                       (edge + 1, edge + 5), (max(1, edge - 3), edge + 70000)):
+            assert sieve._values(b, lo, hi) == [abs(n * n + b) for n in range(lo, hi)], (b, lo)
