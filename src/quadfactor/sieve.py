@@ -33,12 +33,14 @@ one, which hits a segment at most once, waits in the bucket of the
 segment where it next hits (Oliveira e Silva, Herzog and Pardi,
 Math. Comp. 83, 2014).  For p = 2 and p | b the roots mod p^k can
 multiply, so those primes fall back to dividing each hit mod p in a
-loop.  slice_range counts each lifted prime's exponent from the hits of
-its levels in range, the same hits the scheduler divides, so
-|n^2 + b| = prod p^e * cofactor holds by construction.
+loop.  slice_range lifts each prime as it walks the sieve_primes list
+and registers its levels with the scheduler at once; it counts the
+prime's exponent from the hits of those levels in range, the same hits
+the scheduler divides, so |n^2 + b| = prod p^e * cofactor holds by
+construction.
 """
 
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional
 
 from . import arith
 from .arith import RootSet, SequenceSpec
@@ -102,8 +104,9 @@ def _sieve_segment(b: int, lo: int, hi: int, pairs: list, oracle_cut: int) -> li
     length = hi - lo
     vals = _values(b, lo, hi)
     signs = [1] * length
-    if lo * lo + b < 0:
-        signs = [-1 if n * n + b < 0 else 1 for n in range(lo, hi)]
+    if lo * lo + b < 0:  # the prefix n <= isqrt(-b - 1) that _values negates
+        k = min(hi, arith.isqrt(-b - 1) + 1) - lo
+        signs[:k] = [-1] * k
     facs = [[] for _ in range(length)]
 
     for p, r in pairs:
@@ -134,35 +137,16 @@ def sieve_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[TermFactorizat
         yield from _sieve_segment(b, slo, min(slo + SEGMENT, cfg.hi), pairs, oracle_cut)
 
 
-def lifted_roots(spec: SequenceSpec, limit: int, top: int) -> Tuple[list, dict]:
-    """Roots of n^2 + b modulo prime powers, for the slice kernel.
-
-    Returns (lifted, fallback).  lifted holds (p, ((p^k, r), ...)) for
-    every odd sieve prime p <= limit with p not dividing b, listing each
-    root r mod p^k for every p^k <= top.  Such a p has the two roots
-    r, p - r, and each lifts to exactly one root mod p^(k+1) by Hensel's
-    lemma, r - (r^2 + b) / (2r) with the inverse taken mod p, because
-    the derivative 2r is a unit mod p; the roots mod p^k are r, p^k - r.
-    fallback maps p = 2 and the primes dividing b to their one root mod
-    p; their roots mod p^k can multiply (b = 2^30 has 2^15 roots mod
-    2^30) and are not lifted.
-    """
-    b = spec.b
-    lifted, fallback = [], {}
-    for rs in sieve_primes(spec, limit):
-        p = rs.p
-        if p == 2 or b % p == 0:
-            fallback[p] = rs.roots[0]
-        elif p <= top:  # p > top divides no value in range
-            lifted.append((p, tuple(_hensel_levels(p, rs.roots[0], b, top))))
-    return lifted, fallback
-
-
 def _hensel_levels(p: int, r: int, b: int, top: int) -> list:
     """((p^k, r_k), (p^k, p^k - r_k)) for every p^k <= top, ascending in p^k.
 
     p is an odd prime not dividing b, p <= top, and r a root of n^2 + b
-    mod p; r_k is the root mod p^k that reduces to r mod p.
+    mod p; r_k is the root mod p^k that reduces to r mod p.  The
+    derivative 2r is a unit mod p, so by Hensel's lemma each root mod p^k
+    lifts to exactly one root mod p^(k+1), r_k - (r_k^2 + b) / (2r) with
+    the inverse taken mod p, and the roots mod p^k are r_k, p^k - r_k.
+    p = 2 and the p dividing b are not lifted: their roots mod p^k can
+    multiply (b = 2^30 has 2^15 roots mod 2^30).
     """
     levels = [(p, r), (p, p - r)]
     pk = p * p
@@ -271,19 +255,25 @@ def slice_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
     prime is counted once, in the first segment, as the number of hits
     of its levels in range, and a fallback prime per segment, division
     by division.  So |n^2 + b| = prod p^e * cofactor over the range.
+    Registration is streamed: each prime of sieve_primes is lifted,
+    registered with the scheduler and counted before the next one, and
+    only the schedule is kept for the segments.
     """
     b, lo, hi = spec.b, cfg.lo, cfg.hi
-    lifted, fallback = lifted_roots(spec, cfg.prime_limit, (hi - 1) ** 2 + abs(b))
+    top = (hi - 1) ** 2 + abs(b)  # no value in range exceeds this
     add, divide = _scheduler(lo, hi)
-    exps = {}
-    for p, levels in lifted:
-        add(p, levels, lo)
-        e = 0
-        for pk, r in levels:  # the n == r (mod p^k) in [lo, hi)
-            e += (hi - 1 - r) // pk - (lo - 1 - r) // pk
-        if e:
-            exps[p] = e
-    del lifted  # the segments need only the schedule
+    fallback, exps = {}, {}
+    for p, roots in sieve_primes(spec, cfg.prime_limit):
+        if p == 2 or b % p == 0:
+            fallback[p] = roots[0]
+        elif p <= top:  # p > top divides no value in range
+            levels = _hensel_levels(p, roots[0], b, top)
+            add(p, levels, lo)
+            e = 0
+            for pk, r in levels:  # the n == r (mod p^k) in [lo, hi)
+                e += (hi - 1 - r) // pk - (lo - 1 - r) // pk
+            if e:
+                exps[p] = e
     for slo in range(lo, hi, SEGMENT):
         vals = _values(b, slo, min(slo + SEGMENT, hi))
         rem = vals[:]

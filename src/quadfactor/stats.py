@@ -85,11 +85,11 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
     exps: Dict[int, int] = {}
     # A prime p >= 2x divides at most one term with n <= x, since two such
     # terms would need n1 + n2 = p.  So the S' primes need no merging: a
-    # one-prime cofactor joins the list sprime with exponent 1 (about 630k
-    # at x = 10^6, far cheaper in a list than as dict entries), and the
-    # primes of a split cofactor join split with their exponents.
+    # one-prime cofactor joins the array sprime with exponent 1 (about 630k
+    # at x = 10^6, 8 bytes each), and the primes of a split cofactor join
+    # split with their exponents.
     # Cofactor primes in (L, 2x) can repeat, so they join exps.
-    sprime: List[int] = []
+    sprime = array("q")  # each is at most L^2 <= (2 * HI_CAP)^2 < 2^63
     split: Dict[int, int] = {}
     single = limit * limit  # a cofactor up to this is one prime
 

@@ -209,13 +209,28 @@ def _fallback_hits(b, p, root, top):
     return hits
 
 
+def _lifted_roots(spec, limit, top):
+    """(lifted, fallback) over the primes <= limit, split as slice_range splits them.
+
+    lifted maps each odd p <= top not dividing b to its Hensel levels up
+    to top; fallback maps p = 2 and the p dividing b to their root mod p.
+    """
+    b = spec.b
+    lifted, fallback = {}, {}
+    for p, roots in sieve.sieve_primes(spec, limit):
+        if p == 2 or b % p == 0:
+            fallback[p] = roots[0]
+        elif p <= top:
+            lifted[p] = sieve._hensel_levels(p, roots[0], b, top)
+    return lifted, fallback
+
+
 def test_lifted_roots_and_fallback_hits_match_brute_force():
     top = 10 ** 6
     small = [p for p in range(2, 51) if naive_is_prime(p)]
     for b in LIFT_POOL:
         spec = arith.validate_b(b)
-        lifted, fall = sieve.lifted_roots(spec, 50, top)
-        table = dict(lifted)
+        table, fall = _lifted_roots(spec, 50, top)
         assert set(fall) == {p for p in small if p == 2 or b % p == 0}, b
         for p in small:
             want = _roots_mod_powers(b, p, top)
@@ -250,7 +265,7 @@ def test_scheduler_divides_exactly_the_lifted_primes(monkeypatch, seg):
     for b in LIFT_POOL:
         spec = arith.validate_b(b)
         for start, end, mid in ((40, 300, False), (1, 300, True)):
-            lifted = dict(sieve.lifted_roots(spec, 40, (end - 1) ** 2 + abs(b))[0])
+            lifted = _lifted_roots(spec, 40, (end - 1) ** 2 + abs(b))[0]
             least = {}
             for p, levels in lifted.items():
                 least.setdefault(min(levels[0][1], levels[1][1]), []).append(p)
@@ -279,3 +294,9 @@ def test_values_negates_only_the_negative_prefix():
         for lo, hi in ((1, 2), (1, edge + 3), (edge, edge + 1), (edge, edge + 2),
                        (edge + 1, edge + 5), (max(1, edge - 3), edge + 70000)):
             assert sieve._values(b, lo, hi) == [abs(n * n + b) for n in range(lo, hi)], (b, lo)
+        # the dump's signs, with segments that end before, start at and
+        # start past the last negative n
+        lo, hi = max(1, edge - 4), edge + 5
+        for seg in (1, 3, 4, 5, sieve.SEGMENT):
+            got = [t.sign for t in _run_at(seg, b, lo, hi)]
+            assert got == [-1 if n * n + b < 0 else 1 for n in range(lo, hi)], (b, seg)
