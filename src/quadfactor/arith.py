@@ -194,8 +194,8 @@ def factorize(m: int) -> list:
     41^2 has no prime factor up to 37 left, so it is prime without a
     test, and is_prime decides the rest.  It
     factors |b| and the oracle-zone leftovers of the first-hit kernel,
-    the oracle-zone cofactors of the sieve dump, the nx and chebyshev
-    cofactors above the square of the sieve limit, and P+ for p_plus.
+    the oracle-zone cofactors of the sieve dump, the nx cofactors above
+    the square of the sieve limit, and P+ for p_plus.
     """
     if m < 1:
         raise OutOfDomainError(f"cannot factor {m}")

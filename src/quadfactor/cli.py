@@ -26,7 +26,7 @@ from itertools import chain, islice
 from typing import Iterable, List, Optional, Sequence
 
 from . import arith, constants, primitive, sieve, stats, stormer
-from .errors import Error, PreconditionViolatedError
+from .errors import CapExceededError, Error, PreconditionViolatedError
 from .svg import render_svg
 
 
@@ -62,12 +62,20 @@ def _csv(rows: Iterable[Sequence], header: List[str]) -> str:
     return buf.getvalue()
 
 
+def _capped(x: int) -> int:
+    """x, or CapExceededError past the sieve cap, before any table of size x is built."""
+    if x >= sieve.HI_CAP:
+        raise CapExceededError(f"x = {x} exceeds the cap {sieve.HI_CAP - 1}")
+    return x
+
+
 def _checkpoint_grid(x: int, n: int) -> List[int]:
     if n < 1:
         raise PreconditionViolatedError("checkpoints must be >= 1")
     n = min(n, max(x, 1))  # n >= x marks every index 1..x
     if n == 1:
         return [x]
+    _capped(x)  # before a set of up to x marks
     marks = sorted({max(1, round(i * x / n)) for i in range(1, n + 1)})
     if marks[-1] != x:
         marks.append(x)
@@ -212,7 +220,7 @@ def _cmd_nx(args) -> str:
 def _cmd_chowla_todd(args) -> str:
     if args.x < 2:
         raise PreconditionViolatedError("x must be >= 2")
-    marks = [m for m in _checkpoint_grid(args.x, args.checkpoints) if m >= 2]
+    marks = [m for m in _checkpoint_grid(_capped(args.x), args.checkpoints) if m >= 2]
     counts = stats._chowla_todd_counts(marks)
     rows = [[m, c, c / m] for m, c in zip(marks, counts)]
     if args.format == "csv":
@@ -223,7 +231,7 @@ def _cmd_chowla_todd(args) -> str:
 
 
 def _cmd_mertens(args) -> str:
-    s = stats.mertens_sum(args.x)
+    s = stats.mertens_sum(_capped(args.x))
     drift = s - math.log(math.log(args.x))
     if args.format == "csv":
         return _csv([[args.x, s, drift]], ["x", "sum", "drift"])

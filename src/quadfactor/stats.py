@@ -15,12 +15,13 @@ Both run on sieve.slice_range, which yields per segment the values
 total of every prime up to L, without a per-term factor list.  The
 totals and the cofactors come from the same exact divisions
 (Hensel-lifted slices, with a per-hit loop for p = 2 and the primes
-dividing b), so every prime of Q_x is counted with its full exponent;
-a cofactor is split into primes by arith only when it exceeds L^2.
-nx_histogram sieves to L = 2x.  chebyshev_report sieves to
-L = min(2x, isqrt(x^2 + |b|) + 1): below the cap every |n^2 + b| is
-under L^2, so a cofactor is one prime, and the cofactor primes in
-(L, 2x) join S by value.
+dividing b), so every prime of Q_x is counted with its full exponent.
+chebyshev_report sieves to L = isqrt(x^2 + |b|) + 1, so every
+|n^2 + b| is under L^2 and a cofactor is one prime: the cofactor
+primes in (L, 2x) join S by value, and when L > 2x the table primes
+at or above 2x join S'.  It never factors.  nx_histogram sieves to
+L = 2x and splits a cofactor into primes by arith only when it
+exceeds L^2.
 
 Every float sum is one math.fsum, which is correctly rounded whatever
 the order of its terms (Shewchuk, Discrete Comput. Geom. 18, 1997).
@@ -78,20 +79,16 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
     bound = 2 * x
     # Every |n^2 + b| with n <= x is below L^2 for L = isqrt(x^2 + |b|) + 1,
     # so with the primes up to L divided out a cofactor above 1 is one
-    # prime.  The cap 2x bounds the table once |b| reaches about 3x^2;
-    # cofactors above (2x)^2 are then split by arith.factorize.
-    limit = min(bound, arith.isqrt(x * x + abs(spec.b)) + 1)
+    # prime.  Cofactor primes in (L, 2x) can repeat, so they join exps.
+    limit = arith.isqrt(x * x + abs(spec.b)) + 1
     cfg = SieveConfig(1, x + 1, prime_limit=limit)
     exps: Dict[int, int] = {}
     # A prime p >= 2x divides at most one term with n <= x, since two such
     # terms would need n1 + n2 = p.  So the S' primes need no merging: a
-    # one-prime cofactor joins the array sprime with exponent 1 (about 630k
-    # at x = 10^6, 8 bytes each), and the primes of a split cofactor join
-    # split with their exponents.
-    # Cofactor primes in (L, 2x) can repeat, so they join exps.
-    sprime = array("q")  # each is at most L^2 <= (2 * HI_CAP)^2 < 2^63
-    split: Dict[int, int] = {}
-    single = limit * limit  # a cofactor up to this is one prime
+    # cofactor joins the array sprime with exponent 1 (about 630k at
+    # x = 10^6, 8 bytes each), and when L > 2x the table primes >= 2x
+    # leave exps for big with their exponents.
+    sprime = array("q")  # each is at most x^2 + |b| < HI_CAP^2 + 2^31 < 2^63
 
     def logs():
         """Per segment, collect the primes of S and S', then yield the terms' logs."""
@@ -99,9 +96,7 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
             for p, e in seg_exps.items():
                 exps[p] = exps.get(p, 0) + e
             for c in rem:
-                if c > single:  # only when L = 2x, so every prime is >= 2x
-                    split.update(arith.factorize(c))
-                elif c >= bound:
+                if c >= bound:
                     sprime.append(c)
                 elif c > 1:
                     exps[c] = exps.get(c, 0) + 1
@@ -109,11 +104,12 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
 
     # One fsum over all terms rounds once, so no segment length can show.
     log_q = math.fsum(chain.from_iterable(logs()))
+    big = {p: exps.pop(p) for p in [p for p in exps if p >= bound]}
     sum_sp = math.fsum(chain(map(math.log, sprime),
-                             map(mul, split.values(), map(math.log, split))))
-    s_prime = len(sprime) + len(split)
+                             map(mul, big.values(), map(math.log, big))))
+    s_prime = len(sprime) + len(big)
     kx = K * x
-    t = sum(p < kx for p in chain(sprime, split))
+    t = sum(p < kx for p in chain(sprime, big))
     return ChebyshevReport(x, K, log_q,
                            math.fsum(map(mul, exps.values(), map(math.log, exps))),
                            sum_sp, len(exps), s_prime, t, s_prime - t)

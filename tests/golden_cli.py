@@ -19,6 +19,7 @@ from pathlib import Path
 
 BS = (1, -2, 15, 2 ** 30, -75001, 999999, 7, -3, 2 ** 31, -(2 ** 31 - 1))
 XS = (2, 100, 65535, 65536, 65537)  # the segment edges around 2^16
+KS = ("2.5", "50")  # chebyshev's K besides the default 4
 FORMATS = {
     "density": ("csv", "json", "svg"),
     "census": ("csv", "json"),
@@ -41,6 +42,9 @@ def cases():
                     yield [cmd, "--b", str(b), "--x", str(x), "--format", fmt]
             for fmt in FORMATS["nx"]:
                 yield ["nx", "--b", str(b), "--x", str(x), "--windows", "--format", fmt]
+            for K in KS:  # the t/u split of S' at Kx
+                for fmt in FORMATS["chebyshev"]:
+                    yield ["chebyshev", "--b", str(b), "--x", str(x), "--K", K, "--format", fmt]
     for x in XS:
         for fmt in ("csv", "json"):
             yield ["chowla-todd", "--x", str(x), "--checkpoints", "3", "--format", fmt]

@@ -151,6 +151,28 @@ def test_chowla_and_mertens_memory_bounded_at_1e8():
         assert out.stdout.splitlines()[1].startswith("100000000,"), sub
 
 
+def test_x_past_the_cap_refused_before_any_table():
+    # Unchecked, each argv builds a table of about x entries first (a prime
+    # flag array of sqrt(x) bytes, a set of x checkpoints) and dies of
+    # MemoryError; x is checked against the sieve cap before that.  The
+    # children run in a 128 MB address space with a timeout.
+    limit = 128 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    big = str(10 ** 20)
+    for argv, x in ((["mertens", "--x", big], big),
+                    (["chowla-todd", "--x", big], big),
+                    (["density", "--b", "1", "--x", big, "--checkpoints", big], big),
+                    (["mertens", "--x", "1000000000"], "1000000000")):
+        out = subprocess.run([sys.executable, "-m", "quadfactor.cli", *argv],
+                             capture_output=True, text=True, preexec_fn=cap, timeout=60,
+                             cwd=Path(quadfactor.__file__).parent.parent)
+        assert (out.returncode, out.stdout, out.stderr) == (
+            2, "", f"computation error: x = {x} exceeds the cap 999999999\n"), argv
+
+
 def test_segment_size_rejected_by_every_subcommand(capsys):
     # the segment length is fixed (sieve.SEGMENT); no subcommand takes it
     for argv in (["density", "--b", "1", "--x", "20"], ["census", "--b", "1", "--x", "20"],

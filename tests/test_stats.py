@@ -13,9 +13,10 @@ from conftest import (li, naive_chowla_todd_count, naive_extra_new_primes,
 
 # p = 2 and p | b, p^2 | b, b < 0 with negative terms; -73600 puts every
 # n <= 156 in the sieve's oracle zone (3n^2 <= |b|).  chebyshev_report
-# sieves to L = min(2x, isqrt(x^2 + |b|) + 1): 504 and 2204 have L < 2x at
-# x = 77 and 600, 999999 has L = 2x for x <= 156 and L < 2x at 600.  At
-# b = 24, x = 2 the cofactor 25 = 5^2 puts an exponent 2 into S'.
+# sieves to L = isqrt(x^2 + |b|) + 1, so table primes >= 2x join S' when
+# L > 2x: for 504 and 2204 at x <= 5, for -73600 and 999999 at x <= 156;
+# all four have L < 2x at 600.  At b = 24, x = 2 the table prime 5 of
+# 25 = 5^2 puts an exponent 2 into S'.
 ORACLE_POOL = (1, -2, 2, 12, -72, 15, 24, -73600, 504, 2204, 999999)
 # Chowla-Todd and Mertens marks; the prime sieve runs in segments of 2^18,
 # so the last three straddle a segment edge
@@ -64,8 +65,8 @@ def test_chebyshev_identity_and_partition():
 
 
 def test_chebyshev_sieve_limit(monkeypatch):
-    # below the cap a cofactor is below L^2, so it is one prime and nothing
-    # is left for is_prime or factorize
+    # every term is below L^2, so a cofactor is one prime and nothing is
+    # left for is_prime or factorize, at any b
     limits = []
     sieve_primes = sieve.sieve_primes
     monkeypatch.setattr(sieve, "sieve_primes",
@@ -78,10 +79,8 @@ def test_chebyshev_sieve_limit(monkeypatch):
         m.setattr(arith, "is_prime", banned)
         m.setattr(arith, "factorize", banned)
         stats.chebyshev_report(arith.validate_b(1), 3000)
-    assert limits == [3001]
-    limits.clear()
-    stats.chebyshev_report(arith.validate_b(2 ** 31), 100)
-    assert limits == [200]  # isqrt(100^2 + 2^31) + 1 = 46342, capped at 2x
+        stats.chebyshev_report(arith.validate_b(2 ** 31), 100)
+    assert limits == [3001, 46342]  # isqrt(100^2 + 2^31) + 1 = 46342 > 2x
 
 
 def test_chebyshev_preconditions():
