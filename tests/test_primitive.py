@@ -11,6 +11,25 @@ from conftest import naive_is_prime, naive_p_plus, naive_prime_set
 B_POOL = (1, 2, 3, 5, 7, -2, -3)
 
 
+def new_products(spec, x):
+    """The first-hit kernel's new[i] for n = 1..x: the product of the primes new at n."""
+    return [v for _, new in primitive._first_hits(spec, sieve.SieveConfig(1, x + 1)) for v in new]
+
+
+def _agrees(st, v):
+    # v is the product of P_n's new primes (in the oracle zone a prime may
+    # carry its exponent): st's prime divides it, and dividing that prime
+    # out leaves 1 when st has one new prime, else a number of smaller P+
+    p = st.primitive_prime
+    if p is None:
+        return v == 1
+    if v % p:
+        return False
+    while v % p == 0:
+        v //= p
+    return (v > 1) == st.multiple and (v == 1 or naive_p_plus(v) < p)
+
+
 def test_definitional_hand_examples():
     b1 = {st.n: st for st in primitive.classify_definitional(arith.validate_b(1), 5)}
     assert not b1[3].has_primitive  # 10 = 2 * 5, both seen at n = 1, 2
@@ -21,17 +40,18 @@ def test_definitional_hand_examples():
 
 
 def test_fast_hand_examples():
-    b1 = {st.n: st for st in primitive.classify_range(arith.validate_b(1), 11)}
-    assert not b1[3].has_primitive
-    assert b1[4].has_primitive and b1[4].primitive_prime == 17
-    assert not b1[8].has_primitive
+    b1 = new_products(arith.validate_b(1), 11)
+    assert b1[3 - 1] == 1  # 10 = 2 * 5
+    assert b1[4 - 1] == 17
+    assert b1[8 - 1] == 1  # 65 = 5 * 13
 
 
 def test_small_n_statuses_match_oracle():
     # the kernel has no n > |b| precondition: n <= |b| = 3 is classified too
     spec = arith.validate_b(3)
     want = list(primitive.classify_definitional(spec, 3))
-    assert list(primitive.classify_range(spec, 3)) == want
+    got = new_products(spec, 3)
+    assert len(got) == 3 and all(map(_agrees, want, got)), got
     assert [st.primitive_prime for st in want] == [2, 7, 3]  # 4 = 2^2, 7, 12 = 2^2 * 3
 
 
@@ -44,7 +64,7 @@ def test_rho_hand_examples():
     assert primitive.non_primitive_census(b1, 1).non_primitive == []
     bm2 = arith.validate_b(-2)
     assert primitive.rho(bm2, 5).checkpoints[-1][1] == 3
-    only = [st.n for st in primitive.classify_range(bm2, 5) if st.has_primitive]
+    only = [n for n, v in enumerate(new_products(bm2, 5), 1) if v > 1]
     assert only == [2, 3, 5]
 
 
@@ -66,12 +86,10 @@ def test_fast_agrees_with_definitional():
     # the greatest-prime-factor criterion, exercised beyond |b|
     for b in B_POOL:
         spec = arith.validate_b(b)
-        defs = {st.n: st for st in primitive.classify_definitional(spec, 1200)}
-        fast = {st.n: st for st in primitive.classify_range(spec, 1200)}
-        for n in range(abs(b) + 1, 1201):
-            d, f = defs[n], fast[n]
-            assert d.has_primitive == f.has_primitive, (b, n)
-            assert d.primitive_prime == f.primitive_prime, (b, n)
+        defs = primitive.classify_definitional(spec, 1200)
+        for d, v in zip(defs, new_products(spec, 1200), strict=True):
+            if d.n > abs(b):
+                assert d.primitive_prime == (v if v > 1 else None), (b, d.n)
 
 
 def test_first_hit_lemma():
@@ -165,7 +183,7 @@ def test_record_contract():
         "PrimitiveStatus(n=1, has_primitive=True, primitive_prime=2, multiple=False)")
 
 
-def test_rho_thread_determinism(monkeypatch):
+def test_rho_segment_length_independence(monkeypatch):
     spec = arith.validate_b(1)
     b = primitive.rho(spec, 5000, [1000, 5000])
     monkeypatch.setattr(sieve, "SEGMENT", 512)
@@ -192,8 +210,8 @@ def test_kernel_matches_oracle_sweep(monkeypatch):
             non = [st.n for st in want if not st.has_primitive]
             for seg in lengths:
                 monkeypatch.setattr(sieve, "SEGMENT", seg)
-                got = list(primitive.classify_range(spec, x))
-                assert got == want, (b, x, seg)
+                got = new_products(spec, x)
+                assert len(got) == x and all(map(_agrees, want, got)), (b, x, seg)
                 marks = range(1, x + 1)
                 assert primitive.rho(spec, x, marks).checkpoints == rows
                 cen = primitive.non_primitive_census(spec, x)
@@ -239,6 +257,6 @@ def test_kernel_validates_before_any_segment(monkeypatch):
         raise AssertionError("kernel started")
     monkeypatch.setattr(arith, "factorize", banned)
     spec = arith.validate_b(1)
-    for fn in (primitive.rho, primitive.non_primitive_census, primitive.classify_range):
+    for fn in (primitive.rho, primitive.non_primitive_census):
         with pytest.raises(CapExceededError):
             fn(spec, sieve.HI_CAP)

@@ -90,8 +90,8 @@ def test_segment_independence():
         assert _run_at(seg, -3, 1, 1001) == basem
 
 
-def test_thread_independence():
-    # threads are gone; a short segment must still match the default length
+def test_short_segment_matches_default_length():
+    # over 20,000 terms, many 1024-term segments against the default 2^16
     assert _run_at(1024, 1, 1, 20001) == _run(1, 1, 20001)
 
 

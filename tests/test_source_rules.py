@@ -96,11 +96,11 @@ def test_every_cli_option_is_read():
 
 def test_every_public_function_is_reached():
     # a public function or class that no module of the package refers to
-    # serves only tests; these few serve as reference points instead
+    # serves only tests; these two are oracles, imported by the benchmark's
+    # census-mixed check in perfbench/workloads.py as well as by the tests
     kept = {
         "arith.p_plus",  # P+ oracle of the census-mixed benchmark check
         "primitive.classify_definitional",  # the definitional oracle
-        "primitive.classify_range",  # acceptance criterion 1 reads its primitive_prime
     }
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in sorted(SRC.glob("*.py"))}

@@ -274,7 +274,7 @@ def test_mertens_drift_stabilizes():
     assert abs(d5 - d7) < 0.01
 
 
-def test_stats_thread_determinism(monkeypatch):
+def test_stats_segment_length_independence(monkeypatch):
     # reports equal to the last bit at any segment length: adding up
     # per-segment partial sums would move log_Qx at x = 10^5 with 100 segments
     spec = arith.validate_b(1)
