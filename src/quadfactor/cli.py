@@ -75,26 +75,22 @@ def _checkpoint_grid(x: int, n: int) -> List[int]:
     n = min(n, max(x, 1))  # n >= x marks every index 1..x
     if n == 1:
         return [x]
-    _capped(x)  # before a set of up to x marks
-    marks = sorted({max(1, round(i * x / n)) for i in range(1, n + 1)})
-    if marks[-1] != x:
-        marks.append(x)
-    return marks
+    _capped(x)  # before a list of up to x marks
+    # steps of x / n >= 1 keep the rounded marks strictly rising, ending at x
+    return [round(i * x / n) for i in range(1, n + 1)]
 
 
-def _add_common(p, *, b=False, x=False, checkpoints=False, fmt=None):
+def _add_common(p, fmt, *, b=False, checkpoints=False):
     if b:
         p.add_argument("--b", type=int, required=True, help="sequence offset b in n^2 + b")
-    if x:
-        p.add_argument("--x", type=int, required=True, help="upper index/argument x")
+    p.add_argument("--x", type=int, required=True, help="upper index/argument x")
     if checkpoints:
         p.add_argument("--checkpoints", type=int, default=1,
                        help="number of evenly spaced checkpoint rows (default 1)")
     p.add_argument("--threads", type=int, default=None,
                    help="ignored: accepted for compatibility; the computation "
                         "is single-threaded")
-    if fmt:
-        p.add_argument("--format", choices=fmt, default=fmt[0], help="output format")
+    p.add_argument("--format", choices=fmt, default=fmt[0], help="output format")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -106,32 +102,32 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("density", help="rho_b(x): count and density of indices n <= x "
                                        "whose n^2 + b has a primitive divisor")
-    _add_common(p, b=True, x=True, checkpoints=True, fmt=("csv", "json", "svg"))
+    _add_common(p, ("csv", "json", "svg"), b=True, checkpoints=True)
 
     p = sub.add_parser("census", help="indices n <= x whose n^2 + b has no primitive "
                                       "divisor, i.e. x - rho_b(x)")
-    _add_common(p, b=True, x=True, fmt=("csv", "json"))
+    _add_common(p, ("csv", "json"), b=True)
 
     p = sub.add_parser("chebyshev", help="log Q_x = log prod |n^2 + b| and its "
                                          "exponent-weighted split over primes below "
                                          "and above 2x, partitioned again at Kx")
-    _add_common(p, b=True, x=True, fmt=("csv", "json"))
+    _add_common(p, ("csv", "json"), b=True)
     p.add_argument("--K", type=float, default=4.0, help="partition parameter K > 2")
 
     p = sub.add_parser("nx", help="N_x(p): for each prime p >= 2x, how many "
                                   "n in [x, 2x) it divides n^2 + b for; "
                                   "--windows sums them over (v, e*v]")
-    _add_common(p, b=True, x=True, fmt=("csv", "json"))
+    _add_common(p, ("csv", "json"), b=True)
     p.add_argument("--windows", action="store_true",
                    help="emit V_x(v) window sums instead of the histogram")
 
     p = sub.add_parser("chowla-todd", help="count and density of m <= x with "
                                            "P+(m) > 2 sqrt(m) (tends to log 2)")
-    _add_common(p, x=True, checkpoints=True, fmt=("csv", "json"))
+    _add_common(p, ("csv", "json"), checkpoints=True)
 
     p = sub.add_parser("mertens", help="sum of 1/p over primes p < x and its "
                                        "offset from log log x")
-    _add_common(p, x=True, fmt=("csv", "json"))
+    _add_common(p, ("csv", "json"))
 
     p = sub.add_parser("constants", help="the analytic constants sigma, theta, alpha, "
                                          "beta, the density bounds 2 sigma - 3/2 and "
@@ -152,7 +148,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sieve", help="raw dump: exact factorization of n^2 + b "
                                      "for every n <= x")
-    _add_common(p, b=True, x=True, fmt=("csv",))
+    _add_common(p, ("csv",), b=True)
     return ap
 
 
@@ -161,17 +157,15 @@ def _cmd_density(args) -> str:
     marks = _checkpoint_grid(args.x, args.checkpoints)
     rep = primitive.rho(spec, args.x, marks)
     if args.format == "csv":
-        return _csv([[x, r, ratio] for x, r, ratio in rep.checkpoints],
-                    ["x", "rho", "ratio"])
+        return _csv(rep.checkpoints, ["x", "rho", "ratio"])
     if args.format == "json":
         return json.dumps({"b": args.b, "x": args.x,
                            "rho": rep.checkpoints[-1][1],
                            "ratio": rep.checkpoints[-1][2],
                            "checkpoints": rep.checkpoints}) + "\n"
     series = [(float(x), ratio) for x, _, ratio in rep.checkpoints]
-    return render_svg(series, reference=constants.LOG2,
-                      title=f"density of terms with a primitive divisor, b={args.b}",
-                      ylabel="rho/x")
+    return render_svg(series, constants.LOG2,
+                      f"density of terms with a primitive divisor, b={args.b}", "rho/x")
 
 
 def _cmd_census(args) -> str:
@@ -186,13 +180,10 @@ def _cmd_census(args) -> str:
 def _cmd_chebyshev(args) -> str:
     spec = arith.validate_b(args.b)
     r = stats.chebyshev_report(spec, args.x, args.K)
+    header = ["x", "K", "log_Qx", "sum_S", "sum_Sprime", "s", "sprime", "t", "u"]
     if args.format == "csv":
-        return _csv([[r.x, r.K, r.log_Qx, r.sum_S, r.sum_Sprime,
-                      r.s, r.s_prime, r.t, r.u]],
-                    ["x", "K", "log_Qx", "sum_S", "sum_Sprime", "s", "sprime", "t", "u"])
-    return json.dumps({"b": args.b, "x": r.x, "K": r.K, "log_Qx": r.log_Qx,
-                       "sum_S": r.sum_S, "sum_Sprime": r.sum_Sprime,
-                       "s": r.s, "sprime": r.s_prime, "t": r.t, "u": r.u}) + "\n"
+        return _csv([r], header)
+    return json.dumps({"b": args.b, **dict(zip(header, r, strict=True))}) + "\n"
 
 
 def _cmd_nx(args) -> str:
@@ -205,16 +196,17 @@ def _cmd_nx(args) -> str:
         while v <= top:
             rows.append([v, stats.vx(hist, v), args.x / math.log(v)])
             v *= math.e
+        header = ["v", "V", "x_over_log_v"]
         if args.format == "csv":
-            return _csv(rows, ["v", "V", "x_over_log_v"])
+            return _csv(rows, header)
         return json.dumps({"b": args.b, "x": args.x,
-                           "windows": [{"v": a, "V": bb, "x_over_log_v": c}
-                                       for a, bb, c in rows]}) + "\n"
+                           "windows": [dict(zip(header, row)) for row in rows]}) + "\n"
+    counts = sorted(hist.counts.items())
     if args.format == "csv":
-        return _csv(([p, hist.counts[p]] for p in sorted(hist.counts)), ["p", "count"])
+        return _csv(counts, ["p", "count"])
     return json.dumps({"b": args.b, "x": args.x, "N_total": hist.total,
                        "weighted": hist.weighted,
-                       "counts": {str(p): hist.counts[p] for p in sorted(hist.counts)}}) + "\n"
+                       "counts": {str(p): c for p, c in counts}}) + "\n"
 
 
 def _cmd_chowla_todd(args) -> str:
@@ -223,10 +215,10 @@ def _cmd_chowla_todd(args) -> str:
     marks = [m for m in _checkpoint_grid(_capped(args.x), args.checkpoints) if m >= 2]
     counts = stats._chowla_todd_counts(marks)
     rows = [[m, c, c / m] for m, c in zip(marks, counts)]
+    header = ["x", "count", "ratio"]
     if args.format == "csv":
-        return _csv(rows, ["x", "count", "ratio"])
-    return json.dumps({"x": args.x,
-                       "rows": [{"x": a, "count": b, "ratio": c} for a, b, c in rows],
+        return _csv(rows, header)
+    return json.dumps({"x": args.x, "rows": [dict(zip(header, row)) for row in rows],
                        "log2": constants.LOG2}) + "\n"
 
 
@@ -246,8 +238,7 @@ def _cmd_constants(args) -> str:
 def _cmd_stormer(args) -> str:
     res = stormer.stormer_search(args.bound, k_max_override=args.kmax,
                                  digit_cap=args.digit_cap)
-    return json.dumps({"B": res.B, "solutions": res.solutions, "max_n": res.max_n,
-                       "truncated_Ds": res.truncated_Ds}) + "\n"
+    return json.dumps(res._asdict()) + "\n"
 
 
 def _cmd_sieve(args) -> str:

@@ -47,20 +47,19 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-13
     return 0.5 * (lo + hi)
 
 
-def newton(f: Callable[[float], float], df: Callable[[float], float], x0: float,
-           tol: float = 1e-14, max_iter: int = 60) -> float:
+def newton(f: Callable[[float], float], df: Callable[[float], float], x0: float) -> float:
+    """Newton's method from x0, to a fixed step tolerance of 1e-14 in at most 60 steps."""
     x = x0
-    for _ in range(max_iter):
+    for _ in range(60):
         step = f(x) / df(x)
         x -= step
-        if abs(step) < tol:
+        if abs(step) < 1e-14:
             return x
     raise NonConvergenceError(f"Newton stalled at {x}")
 
 
-def quad_adaptive(f: Callable[[float], float], a: float, b: float,
-                  tol: float = 1e-10) -> float:
-    """Adaptive Simpson quadrature."""
+def quad_adaptive(f: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive Simpson quadrature to a fixed tolerance of 1e-10."""
 
     def simpson(lo, hi, flo, fmid, fhi):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
@@ -80,7 +79,7 @@ def quad_adaptive(f: Callable[[float], float], a: float, b: float,
 
     mid = 0.5 * (a + b)
     fa, fm, fb = f(a), f(mid), f(b)
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 50)
+    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), 1e-10, 50)
 
 
 def _sigma_f(s: float) -> float:
@@ -105,14 +104,14 @@ def _theta_df(t: float) -> float:
     return -2.0 - 2.0 / (t - 1.0)
 
 
-def theta_iterates(max_iter: int = 200, tol: float = 1e-13) -> List[float]:
-    """The damped fixed-point iteration from a_1 = 2, run to convergence."""
+def theta_iterates() -> List[float]:
+    """The damped fixed-point iteration from a_1 = 2, run to a fixed step of 1e-13."""
     seq = [2.0]
-    while len(seq) < max_iter:
+    while len(seq) < 200:
         a = seq[-1]
         nxt = 0.5 * (1.5 + a - math.log(a - 1.0))
         seq.append(nxt)
-        if abs(nxt - a) < tol:
+        if abs(nxt - a) < 1e-13:
             return seq
     raise NonConvergenceError("theta iteration did not settle in 200 steps")
 

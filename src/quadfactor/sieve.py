@@ -103,10 +103,7 @@ def _sieve_segment(b: int, lo: int, hi: int, pairs: list, oracle_cut: int) -> li
     """
     length = hi - lo
     vals = _values(b, lo, hi)
-    signs = [1] * length
-    if lo * lo + b < 0:  # the prefix n <= isqrt(-b - 1) that _values negates
-        k = min(hi, arith.isqrt(-b - 1) + 1) - lo
-        signs[:k] = [-1] * k
+    neg = arith.isqrt(-b - 1) if b < 0 else 0  # the last n that _values negates
     facs = [[] for _ in range(length)]
 
     for p, r in pairs:
@@ -124,8 +121,8 @@ def _sieve_segment(b: int, lo: int, hi: int, pairs: list, oracle_cut: int) -> li
     for i in range(min(length, oracle_cut + 1 - lo)):
         facs[i] += arith.factorize(vals[i])  # primes above every sieve prime
         vals[i] = 1
-    return [TermFactorization(n, sign, tuple(fs), c)
-            for n, sign, fs, c in zip(range(lo, hi), signs, facs, vals)]
+    return [TermFactorization(n, -1 if n <= neg else 1, tuple(fs), c)
+            for n, fs, c in zip(range(lo, hi), facs, vals)]
 
 
 def sieve_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[TermFactorization]:

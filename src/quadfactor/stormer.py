@@ -39,7 +39,6 @@ was not settled within M quotients, or y_1 is B-smooth and the chain
 passes the cap before K_max.  Every other D is settled.
 """
 
-from itertools import combinations
 from math import isqrt
 from typing import List, NamedTuple, Optional, Set, Tuple
 
@@ -79,14 +78,10 @@ def enumerate_D(B: int) -> List[int]:
     ps = allowed_primes(B)
     if 1 << len(ps) > 1 << 20:
         raise CapExceededError(f"{len(ps)} allowed primes give 2^{len(ps)} subsets")
-    out = []
-    for k in range(1, len(ps) + 1):
-        for sub in combinations(ps, k):
-            d = 1
-            for q in sub:
-                d *= q
-            out.append(d)
-    return sorted(out)
+    ds = [1]
+    for p in ps:
+        ds += [d * p for d in ds]
+    return sorted(ds[1:])
 
 
 def _cap_bits(digit_cap: int) -> int:

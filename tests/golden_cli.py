@@ -27,6 +27,8 @@ FORMATS = {
     "nx": ("csv", "json"),
     "sieve": ("csv",),
 }
+SUBCOMMANDS = ("density", "census", "chebyshev", "nx", "chowla-todd", "mertens",
+               "constants", "stormer", "sieve")
 BENCHMARK = (  # the argvs of the perfbench workloads
     ["census", "--b", "-73600", "--x", "150000"],
     ["chebyshev", "--b", "1", "--x", "100000", "--K", "4", "--threads", "2"],
@@ -56,6 +58,14 @@ def cases():
     yield ["sieve", "--b", "-4", "--x", "10"]  # -b a square: exit 2
     yield ["density", "--b", "1"]  # missing --x: exit 1
     yield ["--help"]
+    for cmd in SUBCOMMANDS:
+        yield [cmd, "--help"]
+    # checkpoint grids with steps x / n just above 1, and a short one
+    yield ["density", "--b", "1", "--x", "1000", "--checkpoints", "999"]
+    yield ["density", "--b", "7", "--x", "3", "--checkpoints", "2", "--format", "json"]
+    for fmt in ("csv", "json"):
+        yield ["chowla-todd", "--x", "5000", "--checkpoints", "4999", "--format", fmt]
+    yield ["stormer", "--bound", "40"]
     yield from BENCHMARK
 
 

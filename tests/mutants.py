@@ -35,9 +35,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+CLI = "src/quadfactor/cli.py"
 PRIMITIVE = "src/quadfactor/primitive.py"
 SIEVE = "src/quadfactor/sieve.py"
 STATS = "src/quadfactor/stats.py"
+STORMER = "src/quadfactor/stormer.py"
 CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_fast_definitional_equivalence"
 CRITERION_10 = "tests/test_acceptance.py::test_criterion_10_property_suites"
 NAIVE = "tests/test_stats.py::test_chebyshev_and_nx_match_naive_factorization"
@@ -63,6 +65,8 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     (SIEVE, "r = (r - (r * r + b) * u) % pk", "r = (r + (r * r + b) * u) % pk", CRITERION_1),
     (SIEVE, "(lo - 1 - r) // pk", "(lo - r) // pk", NAIVE),
     (SIEVE, "add(p, levels, lo)", "add(p, levels, lo + 1)", CRITERION_10),
+    # the dump's sign: n^2 + b < 0 up to and including isqrt(-b - 1) (b = -2, n = 1)
+    (SIEVE, "n <= neg", "n < neg", "tests/test_sieve.py::test_sieve_range_hand_examples"),
     # the table primes >= 2x stay in S (b = 504, x = 2: 5 | 505)
     (STATS, "big = {p: exps.pop(p) for p in [p for p in exps if p >= bound]}", "big = {}",
      NAIVE),
@@ -75,6 +79,11 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     # a sieve limit that ignores b leaves composite cofactors
     (STATS, "limit = arith.isqrt(x * x + abs(spec.b)) + 1", "limit = x + 1",
      "tests/test_stats.py::test_chebyshev_sieve_limit"),
+    # marks truncated, not rounded: the grid leaves the even spacing
+    (CLI, "round(i * x / n)", "int(i * x / n)",
+     "tests/test_cli.py::test_checkpoint_grid_rises_strictly_to_x"),
+    # the empty product 1 is no D
+    (STORMER, "sorted(ds[1:])", "sorted(ds)", "tests/test_stormer.py::test_enumerate_D_examples"),
 ]
 
 

@@ -139,8 +139,8 @@ def test_criterion_4_analytic_constants():
     assert 2 * theta - 3 > 0.5324
     # closed form vs integral system to 1e-9: quadrature of both window
     # integrals at the closed-form point reproduces the defining values
-    q1 = constants.quad_adaptive(lambda t: 2.0 / (t - 1.0), alpha, beta, tol=1e-10)
-    q2 = constants.quad_adaptive(lambda t: 2.0 * t / (t - 1.0), alpha, beta, tol=1e-10)
+    q1 = constants.quad_adaptive(lambda t: 2.0 / (t - 1.0), alpha, beta)
+    q2 = constants.quad_adaptive(lambda t: 2.0 * t / (t - 1.0), alpha, beta)
     assert abs(q1 - LOG2) < 1e-9 and abs(q2 - 1.0) < 1e-9
     assert _report(4, True, f"sigma={sigma:.7f}, theta={theta:.7f}, beta={beta:.6f}, "
                             f"a_2={seq[1]}, bounds=({2*theta-3:.6f}, {2*sigma-1.5:.6f})")

@@ -27,7 +27,7 @@ def test_term_examples():
     assert arith.term(arith.validate_b(3), 10) == 103
 
 
-def test_sqrt_mod_examples():
+def test_roots_mod_p_examples():
     assert arith._roots_mod_p(4, 5) == (2, 3)
     assert arith._roots_mod_p(12, 13) == (5, 8)
     assert arith._roots_mod_p(2, 3) == ()
@@ -35,7 +35,7 @@ def test_sqrt_mod_examples():
     assert arith._roots_mod_p(0, 5) == (0,)
 
 
-def test_sqrt_mod_rejects_composite_modulus():
+def test_sieve_primes_hands_roots_mod_p_only_primes():
     # _roots_mod_p takes the primality of its modulus on trust; its one
     # caller, sieve_primes, hands it only primes
     for b in (1, -2, 15, -73600, 999999):
@@ -43,7 +43,7 @@ def test_sqrt_mod_rejects_composite_modulus():
         assert moduli and all(naive_is_prime(p) for p in moduli), b
 
 
-def test_sqrt_mod_euler_criterion_exhaustive_small(small_primes):
+def test_roots_mod_p_exhaustive_below_1000(small_primes):
     # every residue for every prime below 1000, which covers each of the
     # three routes of _roots_mod_p (p = 3 mod 4, 5 mod 8, 1 mod 8), against
     # the roots found by squaring every r
@@ -61,7 +61,7 @@ def test_sqrt_mod_euler_criterion_exhaustive_small(small_primes):
                 assert len(want) == (2 if pow(a, (p - 1) // 2, p) == 1 else 0)
 
 
-def test_sqrt_mod_euler_criterion_sampled(small_primes):
+def test_roots_mod_p_euler_criterion_sampled(small_primes):
     rng = random.Random(1201)
     for p in small_primes:
         if p == 2:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import resource
 import subprocess
 import sys
@@ -275,6 +276,22 @@ def test_checkpoint_grid_saturates_at_x():
             assert cli._checkpoint_grid(x, n) == list(range(1, x + 1)), (x, n)
 
 
+def test_checkpoint_grid_rises_strictly_to_x():
+    # the n evenly spaced marks, deduplicated, clamped to >= 1 and closed at x
+    def even(x, n):
+        return sorted({max(1, round(i * x / n)) for i in range(1, n + 1)} | {x})
+
+    pairs = [(x, n) for x in range(2, 201) for n in range(2, x + 1)]
+    rng = random.Random(2024)
+    for _ in range(1000):  # x up to 10^9
+        pairs.append((rng.randrange(1000, 10 ** 9), rng.randrange(2, 1000)))
+    for _ in range(200):  # steps x / n just above 1
+        x = rng.randrange(201, 5000)
+        pairs.append((x, rng.randrange(x // 2, x + 1)))
+    for x, n in pairs:
+        assert cli._checkpoint_grid(x, n) == even(x, n), (x, n)
+
+
 def test_threads_env_ignored(capsys, monkeypatch):
     monkeypatch.delenv("QFL_THREADS", raising=False)
     code, want, _ = run(capsys, "density", "--b", "1", "--x", "100")
@@ -303,10 +320,8 @@ def test_nx_json_uses_symbol_keys(capsys):
 
 
 def test_svg_renderer_contract():
-    svg = render_svg([(1.0, 0.5), (2.0, 0.7)], reference=math.log(2.0))
+    svg = render_svg([(1.0, 0.5), (2.0, 0.7)], math.log(2.0), "density", "rho/x")
     assert svg.count("<circle") == 2
     assert "stroke-dasharray" in svg and "0.693147" in svg
-    svg2 = render_svg([(1.0, 0.5), (2.0, 0.7)])
-    assert "stroke-dasharray" not in svg2
     with pytest.raises(PreconditionViolatedError):
-        render_svg([])
+        render_svg([], math.log(2.0), "density", "rho/x")

@@ -16,7 +16,7 @@ from quadfactor import cli
 SRC = Path(quadfactor.__file__).parent
 
 
-def test_sqrt_mod_rejects_composite_modulus_under_O():
+def test_explicit_raises_survive_python_O():
     # explicit raises that replaced asserts: a D y^2 - 1 that is no square,
     # and density bounds that miss the published decimals
     code = ("from quadfactor import constants, errors, stormer\n"
