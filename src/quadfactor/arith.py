@@ -69,23 +69,52 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def _tonelli(a: int, p: int) -> int:
-    """One square root of a mod p (odd prime, a a known nonzero residue).
+# The odd primes z up to 47, each with its squares mod z.  For a prime
+# p == 1 (mod 4), quadratic reciprocity gives (z/p) = (p/z), so z is a
+# non-residue mod p exactly when p mod z is not a square mod z.  0 is
+# a square, so z = p (17, 41) is never taken for a non-residue.
+_SQUARES = tuple((z, frozenset(r * r % z for r in range(z)))
+                 for z in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
 
-    Tonelli-Shanks with a deterministic non-residue search starting from
-    3: its one caller, _roots_mod_p, passes only p == 1 (mod 8), where 2
-    is a residue.
+
+def _non_residue(p: int) -> int:
+    """The least quadratic non-residue mod a prime p == 1 (mod 8).
+
+    It is an odd prime, since 2 is a residue.  _SQUARES answers for the
+    odd primes up to 47 without an exponentiation; past them Euler's
+    criterion decides, first needed at p = 9257329, whose least
+    non-residue is 53 (OEIS A000229).
     """
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 3
-    while pow(z, (p - 1) // 2, p) != p - 1:
+    for z, squares in _SQUARES:
+        if p % z not in squares:
+            return z
+    z = 53
+    while pow(z, p >> 1, p) != p - 1:
         z += 1
-    c = pow(z, q, p)
-    x = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
+    return z
+
+
+def _tonelli(a: int, p: int) -> int:
+    """One square root of a mod p (prime p == 1 (mod 8), a nonzero mod p),
+    or 0 when a is a non-residue.
+
+    Tonelli-Shanks in two exponentiations.  With p - 1 = q 2^s, q odd,
+    one w = a^((q-1)/2) gives x = a w = a^((q+1)/2) and t = x w = a^q,
+    and by Euler's criterion a is a residue exactly when s - 1 squarings
+    take t to 1.  The other is c = z^q for the non-residue z of
+    _non_residue.
+    """
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = p >> s
+    w = pow(a, q >> 1, p)
+    x = a * w % p
+    t = x * w % p
+    u = t
+    for _ in range(s - 1):
+        u = u * u % p
+    if u != 1:
+        return 0
+    c = pow(_non_residue(p), q, p)
     m = s
     while t != 1:
         t2i = t
@@ -111,11 +140,13 @@ def _roots_mod_p(a: int, p: int) -> tuple:
     * p == 3 (mod 4): r = a^((p+1)/4);
     * p == 5 (mod 8): Atkin's r = a v (i - 1), v = (2a)^((p-5)/8),
       i = 2a v^2, one exponentiation since 2 is a non-residue mod p;
-    * p == 1 (mod 8): Euler's criterion, then Tonelli-Shanks.
+    * p == 1 (mod 8): Tonelli-Shanks (_tonelli) in two exponentiations,
+      its non-residue read off a table of squares by reciprocity and
+      found by Euler's criterion only past that table (_non_residue).
 
-    The first two give a root whenever one exists, so r^2 == a (mod p)
-    decides residuosity in place of a separate Euler test.  Primality
-    of p is the caller's promise.
+    Each gives a root whenever one exists, so r^2 == a (mod p) decides
+    residuosity in place of a separate Euler test.  Primality of p is
+    the caller's promise.
     """
     a %= p
     if p == 2 or a == 0:
@@ -126,10 +157,8 @@ def _roots_mod_p(a: int, p: int) -> tuple:
         a2 = 2 * a
         v = pow(a2, (p - 5) >> 3, p)
         r = a * v * (a2 * v * v - 1) % p
-    elif pow(a, (p - 1) >> 1, p) == 1:
-        r = _tonelli(a, p)
     else:
-        return ()
+        r = _tonelli(a, p)
     if r * r % p != a:
         return ()
     return (r, p - r) if r < p - r else (p - r, r)

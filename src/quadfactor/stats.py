@@ -108,8 +108,10 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
     sum_sp = math.fsum(chain(map(math.log, sprime),
                              map(mul, big.values(), map(math.log, big))))
     s_prime = len(sprime) + len(big)
-    kx = K * x
-    t = sum(p < kx for p in chain(sprime, big))
+    # For an integer p, p < Kx exactly when p < ceil(Kx).  Every S' prime
+    # is below 2^63, so capping Kx there keeps an overflow to inf out of ceil.
+    kx = math.ceil(min(K * x, 2.0 ** 63))
+    t = len([p for p in chain(sprime, big) if p < kx])
     return ChebyshevReport(x, K, log_q,
                            math.fsum(map(mul, exps.values(), map(math.log, exps))),
                            sum_sp, len(exps), s_prime, t, s_prime - t)

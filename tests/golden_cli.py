@@ -53,6 +53,8 @@ def cases():
             yield ["mertens", "--x", str(x), "--format", fmt]
     yield ["density", "--b", "1", "--x", "65537", "--checkpoints", "7"]
     yield ["chebyshev", "--b", "7", "--x", "100", "--K", "2.5"]
+    yield ["chebyshev", "--b", "1", "--x", "128", "--K", "3.1328125"]  # Kx = 401, an S' prime
+    yield ["chebyshev", "--b", "1", "--x", "1000", "--K", "1e308"]  # Kx overflows to inf
     yield ["constants"]
     yield ["stormer", "--bound", "14"]
     yield ["sieve", "--b", "-4", "--x", "10"]  # -b a square: exit 2

@@ -26,6 +26,10 @@ Equivalent mutants, left out because they change no output:
   the slice holds one element, and both branches divide it once.
 - `isqrt((X - 1) // 4)` -> `isqrt(X // 4)` in stats._chowla_todd_counts:
   at X = 4s^2 the extra term is pi(4s) - pi(4s) = 0.
+- `return 0` -> `return x` for a non-residue in arith._tonelli: then
+  x^2 = a t with t != 1, so _roots_mod_p's r^2 == a check rejects it.
+- `z = 53` -> any start from 48 in arith._non_residue: past the table
+  every odd prime up to 47 is a residue, so 48 to 52 are too.
 """
 
 import os
@@ -35,6 +39,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+ARITH = "src/quadfactor/arith.py"
 CLI = "src/quadfactor/cli.py"
 PRIMITIVE = "src/quadfactor/primitive.py"
 SIEVE = "src/quadfactor/sieve.py"
@@ -44,8 +49,18 @@ CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_fast_definitional_equi
 CRITERION_10 = "tests/test_acceptance.py::test_criterion_10_property_suites"
 NAIVE = "tests/test_stats.py::test_chebyshev_and_nx_match_naive_factorization"
 SWEEP = "tests/test_primitive.py::test_kernel_matches_oracle_sweep"
+T_BOUNDARY = "tests/test_stats.py::test_chebyshev_t_at_an_exact_boundary_and_a_huge_K"
 
 MUTANTS = [  # (file, exact old text, new text, the test that must fail)
+    # residuosity by s - 2 squarings rejects residues whose a^q has order 2^(s-1)
+    (ARITH, "for _ in range(s - 1):", "for _ in range(s - 2):",
+     "tests/test_arith.py::test_roots_mod_p_1_mod_8_matches_brute_force"),
+    # the reciprocity lookup inverted returns a residue as the non-residue
+    (ARITH, "if p % z not in squares:", "if p % z in squares:",
+     "tests/test_arith.py::test_reciprocity_table_matches_euler_criterion"),
+    # past the table the least non-residue of 9257329 is 53
+    (ARITH, "z = 53", "z = 54",
+     "tests/test_arith.py::test_roots_mod_p_past_the_reciprocity_table"),
     # a short oracle zone leaves two-prime leftovers to the one-prime path
     (PRIMITIVE, "cut = arith.isqrt(abs(b) // 3)", "cut = arith.isqrt(abs(b) // 4)", SWEEP),
     # a new prime q recurs at q - n, in range exactly when q <= n + x
@@ -74,8 +89,11 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     (STATS, "if c >= bound:", "if c > 1:", "tests/test_stats.py::test_chebyshev_small_oracle"),
     # a table prime of S' counted once (b = 24, x = 2: 25 = 5^2)
     (STATS, "map(mul, big.values(), map(math.log, big))", "map(math.log, big)", NAIVE),
-    # the t/u split at Kx (b = 504, x = 2, K = 2.5: 5 = Kx is in u)
-    (STATS, "t = sum(p < kx for", "t = sum(p <= kx for", NAIVE),
+    # the t/u split at an exact Kx (b = 1, x = 128, K = 401/128: 401 is in
+    # u; NAIVE's b = 504, x = 2, K = 2.5 with 5 = Kx kills it too)
+    (STATS, "if p < kx]", "if p <= kx]", T_BOUNDARY),
+    # Kx = inf at K = 1e308 makes math.ceil raise OverflowError
+    (STATS, "math.ceil(min(K * x, 2.0 ** 63))", "math.ceil(K * x)", T_BOUNDARY),
     # a sieve limit that ignores b leaves composite cofactors
     (STATS, "limit = arith.isqrt(x * x + abs(spec.b)) + 1", "limit = x + 1",
      "tests/test_stats.py::test_chebyshev_sieve_limit"),

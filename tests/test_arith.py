@@ -173,8 +173,8 @@ def test_factorize_takes_pieces_below_41_squared_as_prime(monkeypatch):
 
 
 def test_roots_mod_p_1_mod_8_matches_brute_force(small_primes):
-    # the Tonelli-Shanks route: 2 is a residue mod every such p, so its
-    # non-residue search starts at 3
+    # the Tonelli-Shanks route, with its residuosity test by squarings of
+    # a^q and its non-residue read off the reciprocity table
     for p in small_primes:
         if p >= 2000:
             break
@@ -190,3 +190,42 @@ def test_roots_mod_p_1_mod_8_matches_brute_force(small_primes):
 def test_factorize_small_matches_naive():
     for m in range(1, 2000):
         assert arith.factorize(m) == naive_factorize(m)
+
+
+def test_reciprocity_table_matches_euler_criterion():
+    # for p == 1 (mod 4), z is a non-residue mod p exactly when p mod z is
+    # not a square mod z; z = p (p = 17, 41) is no non-residue either way
+    primes = [p for p in arith.primes_upto(10 ** 5) if p % 8 == 1]
+    for z, squares in arith._SQUARES:
+        assert naive_is_prime(z) and z % 2 == 1
+        assert squares == {r * r % z for r in range(z)}
+        for p in primes:
+            assert (p % z not in squares) == (pow(z, (p - 1) // 2, p) == p - 1), (z, p)
+    # and _non_residue returns the least non-residue, by Euler's criterion
+    for p in primes:
+        least = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        assert arith._non_residue(p) == least, p
+
+
+def test_roots_mod_p_past_the_reciprocity_table():
+    # the least p == 1 (mod 8) with every table z a residue (OEIS A000229),
+    # so _non_residue must fall back to Euler's criterion
+    p = 9257329
+    assert naive_is_prime(p) and p % 8 == 1
+    assert all(pow(z, (p - 1) // 2, p) == 1 for z, _ in arith._SQUARES)
+    assert [z for z in range(2, 54) if pow(z, (p - 1) // 2, p) == p - 1] == [53]
+    assert arith._non_residue(p) == 53
+    # residues: p - 1 and 2 (p == 1 mod 8), 256 = 2^8 with a^q = 1, where
+    # the Tonelli loop does not run, and 2, 3, 1013, whose a^q has order
+    # 8 = 2^(s-1) (p - 1 = q 2^4), where it runs in full; non-residues:
+    # 53 and 4 * 53; and a few more of each kind
+    q = (p - 1) >> 4
+    assert q % 2 == 1 and pow(256, q, p) == 1
+    assert all(pow(a, 4 * q, p) == p - 1 for a in (2, 3, 1013))
+    cases = (p - 1, 2, 3, 256, 1013, 53, 4 * 53, 123456, p - 53, 1234567)
+    for a in cases:
+        roots = arith._roots_mod_p(a, p)
+        residue = pow(a, (p - 1) // 2, p) == 1
+        assert len(roots) == (2 if residue else 0), a
+        assert all(r * r % p == a for r in roots) and list(roots) == sorted(roots), a
+    assert {len(arith._roots_mod_p(a, p)) for a in cases} == {0, 2}

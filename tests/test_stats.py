@@ -178,6 +178,26 @@ def test_chebyshev_and_nx_match_naive_factorization(monkeypatch):
                 assert hist.weighted == weighted, (b, x)
 
 
+def test_chebyshev_t_at_an_exact_boundary_and_a_huge_K():
+    # 401 = 20^2 + 1 is an S' prime equal to Kx, with K = 401/128 exact in
+    # binary: it belongs to u, since t counts the S' primes below Kx
+    b, x, K = 1, 128, 401 / 128
+    assert K == 3.1328125
+    exps = {}
+    for n in range(1, x + 1):
+        for p, e in naive_factorize(n * n + b):
+            exps[p] = exps.get(p, 0) + e
+    Sp = [p for p in exps if p >= 2 * x]
+    assert K * x == 401 and 401 in Sp
+    rep = stats.chebyshev_report(arith.validate_b(b), x, K)
+    t = sum(1 for p in Sp if p < 401)
+    assert (rep.s_prime, rep.t, rep.u) == (len(Sp), t, len(Sp) - t)
+    # Kx overflows to inf: every S' prime is below it, and nothing raises
+    for b, x in ((1, 1000), (-73600, 200)):
+        rep = stats.chebyshev_report(arith.validate_b(b), x, 1e308)
+        assert rep.s_prime > 0 and (rep.t, rep.u) == (rep.s_prime, 0), (b, x)
+
+
 def test_sums_are_correctly_rounded():
     # Cases where a compensated (Kahan) sum in ascending p is one unit off:
     # each report equals the exact rational sum of its float terms, rounded
