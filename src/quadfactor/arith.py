@@ -1,8 +1,8 @@
 """Exact integer arithmetic primitives.
 
 Modular square roots, deterministic 64-bit primality, factorization
-(trial division by the Miller-Rabin base primes, then Pollard's rho),
-largest prime factor, and evaluation of the quadratic terms n^2 + b.
+(trial division by the Miller-Rabin base primes, then Pollard's rho)
+and the largest prime factor.
 """
 
 from itertools import compress, count
@@ -37,11 +37,6 @@ def validate_b(b: int) -> SequenceSpec:
         if k * k == -b:
             raise NegativeSquareError(f"-b = {-b} is the perfect square {k}^2")
     return SequenceSpec(b)
-
-
-def term(spec: SequenceSpec, n: int) -> int:
-    """n-th term n^2 + b, computed exactly."""
-    return n * n + spec.b
 
 
 def is_prime(m: int) -> bool:

@@ -201,12 +201,13 @@ def _cmd_nx(args) -> str:
             return _csv(rows, header)
         return json.dumps({"b": args.b, "x": args.x,
                            "windows": [dict(zip(header, row)) for row in rows]}) + "\n"
-    counts = sorted(hist.counts.items())
+    # rows made as written: sorted items() holds a tuple per prime (+37 MB at 10^6)
+    counts, primes = hist.counts, sorted(hist.counts)
     if args.format == "csv":
-        return _csv(counts, ["p", "count"])
+        return _csv(([p, counts[p]] for p in primes), ["p", "count"])
     return json.dumps({"b": args.b, "x": args.x, "N_total": hist.total,
                        "weighted": hist.weighted,
-                       "counts": {str(p): c for p, c in counts}}) + "\n"
+                       "counts": {str(p): counts[p] for p in primes}}) + "\n"
 
 
 def _cmd_chowla_todd(args) -> str:
@@ -245,9 +246,8 @@ def _cmd_sieve(args) -> str:
     spec = arith.validate_b(args.b)
     if args.x < 1:
         raise PreconditionViolatedError("x must be >= 1")
-    cfg = sieve.SieveConfig(1, args.x + 1)
     return _csv(([tf.n, tf.sign, " ".join(f"{p}^{e}" for p, e in tf.factors), tf.cofactor]
-                 for tf in sieve.sieve_range(spec, cfg)),
+                 for tf in sieve.sieve_range(spec, 1, args.x + 1, 2 * (args.x + 1))),
                 ["n", "sign", "factors", "cofactor"])
 
 

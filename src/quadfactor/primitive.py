@@ -36,7 +36,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from . import arith, sieve
 from .arith import SequenceSpec
 from .errors import PreconditionViolatedError
-from .sieve import SieveConfig, _hensel_levels
+from .sieve import _hensel_levels
 
 
 class PrimitiveStatus(NamedTuple):
@@ -75,21 +75,24 @@ def classify_definitional(spec: SequenceSpec, x: int) -> Iterator[PrimitiveStatu
     """Definitional scan of n = 1..x with an incrementally grown prime set."""
     seen = set()
     for n in range(1, x + 1):
-        primes = [p for p, _ in arith.factorize(abs(arith.term(spec, n)))]
+        primes = [p for p, _ in arith.factorize(abs(n * n + spec.b))]
         yield _new_prime_status(n, primes, seen)
 
 
-def _first_hits(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
-    """Stream (lo, new) per segment [lo, hi) of cfg = [1, x + 1).
+def _first_hits(spec: SequenceSpec, x: int) -> Iterator[tuple]:
+    """Stream (lo, new) per segment [lo, hi) of n = 1..x, ascending.
 
-    The segments have the fixed length sieve.SEGMENT (the last one may be
-    shorter); the output does not depend on that length.
+    The caller checks x >= 1; an x at or past sieve.HI_CAP is refused
+    before |b| is factored.  The segments have the fixed length
+    sieve.SEGMENT (the last one may be shorter); the output does not
+    depend on that length.
 
     new[i] is the product of the primes new at n = lo + i, so 1 exactly
     when P_n has no primitive divisor.  Past |b| it is 1 or the one new
     prime; in the oracle zone a new prime may appear with its exponent.
     """
-    b, x, size = spec.b, cfg.hi - 1, sieve.SEGMENT
+    sieve._check_cap(x + 1)
+    b, size = spec.b, sieve.SEGMENT
     top = x * x + abs(b)  # no |P_n| with n <= x exceeds this
     cut = arith.isqrt(abs(b) // 3)  # the oracle zone is n <= cut
     roots = {2: b % 2}  # fallback prime -> its root mod p
@@ -137,14 +140,13 @@ def rho(spec: SequenceSpec, x: int,
     """
     if x < 1:
         raise PreconditionViolatedError("x must be >= 1")
-    cfg = SieveConfig(1, x + 1)
     marks = sorted({m for m in checkpoints if 1 <= m <= x}) if checkpoints else [x]
     if not marks or marks[-1] != x:
         marks.append(x)
     rows = []
     count = 0
     mi = 0
-    for lo, new in _first_hits(spec, cfg):
+    for lo, new in _first_hits(spec, x):
         done = 0  # new[:done] is already counted
         while mi < len(marks) and marks[mi] < lo + len(new):
             k = marks[mi] - lo + 1
@@ -160,6 +162,6 @@ def non_primitive_census(spec: SequenceSpec, x: int) -> CensusReport:
     """Indices n <= x whose term has no primitive divisor, with their count."""
     if x < 1:
         raise PreconditionViolatedError("x must be >= 1")
-    idx = [n for lo, new in _first_hits(spec, SieveConfig(1, x + 1))
+    idx = [n for lo, new in _first_hits(spec, x)
            for n, v in enumerate(new, lo) if v == 1]
     return CensusReport(spec, x, idx, len(idx))

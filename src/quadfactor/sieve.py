@@ -1,21 +1,23 @@
 """Segmented factor sieve over the values n^2 + b.
 
-Fully factors every |n^2 + b| for n in [lo, hi) using only primes up to
-a configurable limit.  For each sieve prime p the hit indices are the
-n == r (mod p) for the roots r of n^2 + b mod p; at each hit p is
-divided out repeatedly, so exponents are exact even at ramified primes.
-Whatever survives the divisions is the cofactor.
+Fully factors every |n^2 + b| for n in [lo, hi) using only the primes up
+to a limit that the caller passes.  For each sieve prime p the hit
+indices are the n == r (mod p) for the roots r of n^2 + b mod p; at each
+hit p is divided out repeatedly, so exponents are exact even at ramified
+primes.  Whatever survives the divisions is the cofactor, a product of
+primes above the limit.
 
-With the default prime_limit = 2*hi the cofactor is 1 or a single prime
-greater than 2n for every term (two factors above 2*hi would multiply
-past n^2 + b once 3n^2 > |b|; arith.factorize splits the cofactors of
-the handful of smaller n, so those terms are fully factored).  Smaller
-limits are allowed, e.g. for smoothness scans, in which case the other
-cofactors are merely products of primes above the limit.
+The `sieve` dump (cli) scans n = 1..x with the limit 2(x + 1), so past
+the oracle zone, 3n^2 > |b|, a cofactor is 1 or a single prime greater
+than 2n: two factors above the limit would multiply past n^2 + b.  In
+the zone arith.factorize splits the cofactors of the handful of smaller
+n, so every term of the dump is fully factored.
 
-The kernels here and in primitive scan [lo, hi) in ascending segments
-of the one fixed length SEGMENT (read at run time, so a test can patch
-it in); the output does not depend on the length.
+The kernels here and in primitive take [lo, hi) from the caller, which
+checks 1 <= lo < hi, and refuse one past HI_CAP (_check_cap) before any
+prime table or factorization.  They scan it in ascending segments of the
+one fixed length SEGMENT (read at run time, so a test can patch it in);
+the output does not depend on the length.
 
 sieve_range streams one TermFactorization per n, dividing each hit of
 each root mod p in a loop; it serves only the raw `sieve` dump.
@@ -40,7 +42,7 @@ the scheduler divides, so |n^2 + b| = prod p^e * cofactor holds by
 construction.
 """
 
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 from . import arith
 from .arith import RootSet, SequenceSpec
@@ -59,21 +61,10 @@ class TermFactorization(NamedTuple):
     cofactor: int
 
 
-class SieveConfig(NamedTuple("SieveConfig", [("lo", int), ("hi", int), ("prime_limit", int)])):
-    """Index range [lo, hi) and sieve prime limit (default 2 * hi)."""
-
-    __slots__ = ()
-
-    def __new__(cls, lo: int, hi: int, prime_limit: Optional[int] = None):
-        if not (1 <= lo < hi):
-            raise OutOfDomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-        if hi > HI_CAP:
-            raise CapExceededError(f"n = {hi - 1} exceeds the cap {HI_CAP - 1}")
-        if prime_limit is None:
-            prime_limit = 2 * hi
-        if prime_limit < 2:
-            raise OutOfDomainError("prime_limit must be >= 2")
-        return super().__new__(cls, lo, hi, prime_limit)
+def _check_cap(hi: int) -> None:
+    """Refuse a range [lo, hi) that reaches past n = HI_CAP - 1."""
+    if hi > HI_CAP:
+        raise CapExceededError(f"n = {hi - 1} exceeds the cap {HI_CAP - 1}")
 
 
 def sieve_primes(spec: SequenceSpec, limit: int) -> list:
@@ -125,13 +116,14 @@ def _sieve_segment(b: int, lo: int, hi: int, pairs: list, oracle_cut: int) -> li
             for n, fs, c in zip(range(lo, hi), facs, vals)]
 
 
-def sieve_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[TermFactorization]:
+def sieve_range(spec: SequenceSpec, lo: int, hi: int, limit: int) -> Iterator[TermFactorization]:
     """Stream one TermFactorization per n in [lo, hi), ascending, segment by segment."""
+    _check_cap(hi)
     b = spec.b
-    pairs = [(rs.p, r) for rs in sieve_primes(spec, cfg.prime_limit) for r in rs.roots]
+    pairs = [(rs.p, r) for rs in sieve_primes(spec, limit) for r in rs.roots]
     oracle_cut = arith.isqrt(abs(b) // 3)
-    for slo in range(cfg.lo, cfg.hi, SEGMENT):
-        yield from _sieve_segment(b, slo, min(slo + SEGMENT, cfg.hi), pairs, oracle_cut)
+    for slo in range(lo, hi, SEGMENT):
+        yield from _sieve_segment(b, slo, min(slo + SEGMENT, hi), pairs, oracle_cut)
 
 
 def _hensel_levels(p: int, r: int, b: int, top: int) -> list:
@@ -239,13 +231,13 @@ def _divide_fallback(rem: list, lo: int, fallback: dict, exps: dict) -> None:
             exps[p] = e
 
 
-def slice_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
+def slice_range(spec: SequenceSpec, lo: int, hi: int, limit: int) -> Iterator[tuple]:
     """Stream (vals, rem, exps) per segment of [lo, hi), ascending.
 
     The exact counterpart of sieve_range for callers that need only
     exponent totals and cofactors: no per-term factor list is built.
     vals are the segment's values |n^2 + b| and rem what is left of them
-    once every prime <= prime_limit is divided out, so a cofactor is a
+    once every prime <= limit is divided out, so a cofactor is a
     product of primes above the limit.  exps maps primes to exponents,
     with only primes that divide some value in range, and the exps of
     all segments add up to the exponent totals over [lo, hi): a lifted
@@ -256,11 +248,12 @@ def slice_range(spec: SequenceSpec, cfg: SieveConfig) -> Iterator[tuple]:
     registered with the scheduler and counted before the next one, and
     only the schedule is kept for the segments.
     """
-    b, lo, hi = spec.b, cfg.lo, cfg.hi
+    _check_cap(hi)
+    b = spec.b
     top = (hi - 1) ** 2 + abs(b)  # no value in range exceeds this
     add, divide = _scheduler(lo, hi)
     fallback, exps = {}, {}
-    for p, roots in sieve_primes(spec, cfg.prime_limit):
+    for p, roots in sieve_primes(spec, limit):
         if p == 2 or b % p == 0:
             fallback[p] = roots[0]
         elif p <= top:  # p > top divides no value in range

@@ -43,7 +43,6 @@ from typing import Dict, List, NamedTuple, Tuple
 from . import arith, sieve
 from .arith import SequenceSpec
 from .errors import OutOfDomainError, PreconditionViolatedError, WindowOutOfRangeError
-from .sieve import SieveConfig
 
 
 _WHEEL_30 = (1, 7, 11, 13, 17, 19, 23, 29)  # residues prime to 30
@@ -81,7 +80,6 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
     # so with the primes up to L divided out a cofactor above 1 is one
     # prime.  Cofactor primes in (L, 2x) can repeat, so they join exps.
     limit = arith.isqrt(x * x + abs(spec.b)) + 1
-    cfg = SieveConfig(1, x + 1, prime_limit=limit)
     exps: Dict[int, int] = {}
     # A prime p >= 2x divides at most one term with n <= x, since two such
     # terms would need n1 + n2 = p.  So the S' primes need no merging: a
@@ -92,7 +90,7 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
 
     def logs():
         """Per segment, collect the primes of S and S', then yield the terms' logs."""
-        for vals, rem, seg_exps in sieve.slice_range(spec, cfg):
+        for vals, rem, seg_exps in sieve.slice_range(spec, 1, x + 1, limit):
             for p, e in seg_exps.items():
                 exps[p] = exps.get(p, 0) + e
             for c in rem:
@@ -120,17 +118,16 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
 def nx_histogram(spec: SequenceSpec, x: int) -> NxHistogram:
     """Count n in [x, 2x) divisible by each prime p >= 2x.
 
-    Sieving with prime_limit 2x leaves exactly those primes in the
-    cofactors; each term contributes at most one (two primes above 2x
-    would multiply past n^2 + b for any n < 2x once b < 4x - 1).
+    Sieving to 2x leaves exactly those primes in the cofactors; each
+    term contributes at most one (two primes above 2x would multiply
+    past n^2 + b for any n < 2x once b < 4x - 1).
     """
     if x < 2:
         raise PreconditionViolatedError("x must be >= 2")
     limit = 2 * x
     single = limit * limit  # a cofactor up to this is one prime
-    cfg = SieveConfig(x, 2 * x, prime_limit=limit)
     counts: Dict[int, int] = {}
-    for _, rem, _ in sieve.slice_range(spec, cfg):
+    for _, rem, _ in sieve.slice_range(spec, x, 2 * x, limit):
         for c in rem:
             if c > single:
                 for p, _ in arith.factorize(c):

@@ -131,6 +131,27 @@ def naive_prime_pi(flags, y):
     return flags.count(1, 0, y + 1)
 
 
+def naive_split_prime_count(b, x):
+    """s of the Chebyshev split: the primes p < 2x dividing some n^2 + b, n <= x.
+
+    p divides n^2 + b for some n <= x exactly when -b is a square mod p
+    with a root in [1, x].  That is p = 2 (n = 1 or 2, x >= 2); an odd
+    p | b, whose least root is p itself, when p <= x; and an odd p not
+    dividing b with -b a nonzero square mod p (Euler's criterion), whose
+    roots r and p - r put one below p / 2 < x.
+    """
+    assert x >= 2
+    flags = naive_prime_flags(2 * x - 1)
+    count = 1  # p = 2
+    for p in range(3, 2 * x, 2):
+        if flags[p]:
+            if b % p == 0:
+                count += p <= x
+            else:
+                count += pow(-b % p, (p - 1) // 2, p) == 1
+    return count
+
+
 def naive_chowla_todd_count(x):
     """#{2 <= m <= x : P+(m)^2 > 4m} by the counting identity.
 

@@ -58,6 +58,8 @@ def cases():
     yield ["constants"]
     yield ["stormer", "--bound", "14"]
     yield ["sieve", "--b", "-4", "--x", "10"]  # -b a square: exit 2
+    for cmd in ("census", "chebyshev", "sieve"):  # n past the sieve cap: exit 2
+        yield [cmd, "--b", "1", "--x", "1000000000"]
     yield ["density", "--b", "1"]  # missing --x: exit 1
     yield ["--help"]
     for cmd in SUBCOMMANDS:

@@ -47,6 +47,7 @@ STATS = "src/quadfactor/stats.py"
 STORMER = "src/quadfactor/stormer.py"
 CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_fast_definitional_equivalence"
 CRITERION_10 = "tests/test_acceptance.py::test_criterion_10_property_suites"
+FAIL_FAST = "tests/test_primitive.py::test_kernel_validates_before_any_segment"
 NAIVE = "tests/test_stats.py::test_chebyshev_and_nx_match_naive_factorization"
 SWEEP = "tests/test_primitive.py::test_kernel_matches_oracle_sweep"
 T_BOUNDARY = "tests/test_stats.py::test_chebyshev_t_at_an_exact_boundary_and_a_huge_K"
@@ -80,6 +81,11 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     (SIEVE, "r = (r - (r * r + b) * u) % pk", "r = (r + (r * r + b) * u) % pk", CRITERION_1),
     (SIEVE, "(lo - 1 - r) // pk", "(lo - r) // pk", NAIVE),
     (SIEVE, "add(p, levels, lo)", "add(p, levels, lo + 1)", CRITERION_10),
+    # a kernel without its cap call builds a prime table or factors |b|
+    # for a range past HI_CAP; the fail-fast test bans both
+    (PRIMITIVE, "sieve._check_cap(x + 1)", "pass", FAIL_FAST),
+    (SIEVE, "_check_cap(hi)\n    b = spec.b\n    pairs", "b = spec.b\n    pairs", FAIL_FAST),
+    (SIEVE, "_check_cap(hi)\n    b = spec.b\n    top", "b = spec.b\n    top", FAIL_FAST),
     # the dump's sign: n^2 + b < 0 up to and including isqrt(-b - 1) (b = -2, n = 1)
     (SIEVE, "n <= neg", "n < neg", "tests/test_sieve.py::test_sieve_range_hand_examples"),
     # the table primes >= 2x stay in S (b = 504, x = 2: 5 | 505)

@@ -20,7 +20,8 @@ import pytest
 from quadfactor import arith, constants, primitive, sieve, stats, stormer
 from quadfactor.cli import _csv
 
-from conftest import li, naive_chowla_todd_count, naive_prime_flags, naive_prime_pi
+from conftest import (li, naive_chowla_todd_count, naive_prime_flags, naive_prime_pi,
+                      naive_split_prime_count)
 from test_properties import (run_nx_at_most_two, run_pell_identity,
                              run_rootset_correctness, run_sieve_reconstruction)
 from test_primitive import new_products
@@ -125,6 +126,8 @@ def test_criterion_3_rho_is_the_prime_count_of_Q_x(rho_1e6, cheb):
     e_1 = 0  # b = 1 has no oracle zone, and P_1 = 2 at the one fallback root
     rep = cheb[10 ** 6]
     assert rho_1e6[0].checkpoints[-1][1] + e_1 == rep.s + rep.s_prime == RHO_1E6
+    # s alone against Euler's criterion over a schoolbook sieve to 2x
+    assert rep.s == naive_split_prime_count(1, 10 ** 6)
 
 
 def test_criterion_4_analytic_constants():

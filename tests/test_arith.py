@@ -21,12 +21,6 @@ def test_validate_b_accepts_and_rejects():
         arith.validate_b(2 ** 31 + 1)
 
 
-def test_term_examples():
-    assert arith.term(arith.validate_b(1), 4) == 17
-    assert arith.term(arith.validate_b(-2), 1) == -1
-    assert arith.term(arith.validate_b(3), 10) == 103
-
-
 def test_roots_mod_p_examples():
     assert arith._roots_mod_p(4, 5) == (2, 3)
     assert arith._roots_mod_p(12, 13) == (5, 8)

@@ -248,6 +248,9 @@ def test_exit_codes(capsys):
         assert (code, out, err) == (2, "", "computation error: x must be >= 1\n"), argv
     # the cap names the largest n sieved: x, or 2x - 1 for nx's range [x, 2x)
     for argv, n in ((["density", "--b", "1", "--x", "1000000000"], 1000000000),
+                    (["census", "--b", "1", "--x", "1000000000"], 1000000000),
+                    (["chebyshev", "--b", "1", "--x", "1000000000"], 1000000000),
+                    (["sieve", "--b", "1", "--x", "1000000000"], 1000000000),
                     (["nx", "--b", "1", "--x", "600000000"], 1199999999)):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (

@@ -13,7 +13,7 @@ B_POOL = (1, 2, 3, 5, 7, -2, -3)
 
 def new_products(spec, x):
     """The first-hit kernel's new[i] for n = 1..x: the product of the primes new at n."""
-    return [v for _, new in primitive._first_hits(spec, sieve.SieveConfig(1, x + 1)) for v in new]
+    return [v for _, new in primitive._first_hits(spec, x) for v in new]
 
 
 def _agrees(st, v):
@@ -160,7 +160,6 @@ def test_record_contract():
         (primitive.CensusReport,
          {"spec": arith.SequenceSpec(1), "x": 10, "non_primitive": [3, 7, 8], "count": 3}),
         (sieve.TermFactorization, {"n": 3, "sign": 1, "factors": ((2, 1), (5, 1)), "cofactor": 1}),
-        (sieve.SieveConfig, {"lo": 1, "hi": 10, "prime_limit": 30}),
         (stats.ChebyshevReport,
          {"x": 10, "K": 4.0, "log_Qx": 1.5, "sum_S": 1.0, "sum_Sprime": 0.5,
           "s": 3, "s_prime": 2, "t": 1, "u": 1}),
@@ -178,7 +177,6 @@ def test_record_contract():
             with pytest.raises(AttributeError):
                 setattr(rec, k, 0)
     assert primitive.PrimitiveStatus(3, False) == primitive.PrimitiveStatus(3, False, None, False)
-    assert sieve.SieveConfig(1, 10) == sieve.SieveConfig(1, 10, 20)
     assert repr(next(primitive.classify_definitional(arith.validate_b(1), 1))) == (
         "PrimitiveStatus(n=1, has_primitive=True, primitive_prime=2, multiple=False)")
 
@@ -253,10 +251,17 @@ def test_kernel_needs_no_root_table(monkeypatch):
 
 
 def test_kernel_validates_before_any_segment(monkeypatch):
+    # every sieve report past the cap is refused by its kernel before a
+    # prime table is built or |b| is factored
     def banned(m):
         raise AssertionError("kernel started")
     monkeypatch.setattr(arith, "factorize", banned)
-    spec = arith.validate_b(1)
-    for fn in (primitive.rho, primitive.non_primitive_census):
+    monkeypatch.setattr(arith, "primes_upto", banned)
+    spec, cap = arith.validate_b(1), sieve.HI_CAP
+    for report in (lambda: primitive.rho(spec, cap),
+                   lambda: primitive.non_primitive_census(spec, cap),
+                   lambda: stats.chebyshev_report(spec, cap),
+                   lambda: stats.nx_histogram(spec, cap // 2 + 1),
+                   lambda: list(sieve.sieve_range(spec, 1, cap + 1, 2))):
         with pytest.raises(CapExceededError):
-            fn(spec, sieve.HI_CAP)
+            report()

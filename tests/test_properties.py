@@ -11,7 +11,6 @@ from math import isqrt
 from unittest import mock
 
 from quadfactor import arith, sieve, stats, stormer
-from quadfactor.sieve import SieveConfig
 
 from conftest import reconstruct
 from test_stormer import pell_fundamental
@@ -38,7 +37,7 @@ def run_sieve_reconstruction(seed=SEED) -> int:
         hi = lo + 256
         spec = arith.validate_b(b)
         with mock.patch.object(sieve, "SEGMENT", rng.choice((7, 64, 256))):
-            terms = list(sieve.sieve_range(spec, SieveConfig(lo, hi)))
+            terms = list(sieve.sieve_range(spec, lo, hi, 2 * hi))
         for tf in terms:
             assert reconstruct(tf) == tf.n * tf.n + b, (b, tf.n)
             assert tf.factors == tuple(sorted(tf.factors))

@@ -6,7 +6,6 @@ import pytest
 
 from quadfactor import arith, cli, sieve
 from quadfactor.errors import CapExceededError, OutOfDomainError
-from quadfactor.sieve import SieveConfig
 
 from conftest import naive_factorize, naive_is_prime, naive_p_plus, reconstruct
 
@@ -15,15 +14,19 @@ B_POOL = (1, 2, 3, 5, 7, -2, -3)
 LIFT_POOL = (1, -2, 12, -72, 45, 2 ** 10 * 3, -1155)
 
 
-def _run(b, lo, hi, **kw):
-    spec = arith.validate_b(b)
-    return list(sieve.sieve_range(spec, SieveConfig(lo, hi, **kw)))
+def _run(b, lo, hi, limit):
+    return list(sieve.sieve_range(arith.validate_b(b), lo, hi, limit))
+
+
+def _dump(b, x):
+    """The `sieve` dump's terms: n = 1..x with the primes up to 2(x + 1)."""
+    return _run(b, 1, x + 1, 2 * (x + 1))
 
 
 def _run_at(seg, b, lo, hi):
-    """_run with the segment length patched to seg."""
+    """_run to the limit 2 hi with the segment length patched to seg."""
     with mock.patch.object(sieve, "SEGMENT", seg):
-        return _run(b, lo, hi)
+        return _run(b, lo, hi, 2 * hi)
 
 
 def test_sieve_primes_examples():
@@ -51,28 +54,28 @@ def test_sieve_primes_are_the_nonempty_root_sets(monkeypatch):
 
 
 def test_sieve_range_hand_examples():
-    rows = {tf.n: tf for tf in _run(1, 1, 11, prime_limit=22)}
+    rows = {tf.n: tf for tf in _run(1, 1, 11, 22)}
     assert rows[7].factors == ((2, 1), (5, 2)) and rows[7].cofactor == 1
     assert rows[10].factors == () and rows[10].cofactor == 101
     assert rows[5].factors == ((2, 1), (13, 1)) and rows[5].cofactor == 1
 
-    only = _run(1, 1, 2, prime_limit=2)
+    only = _run(1, 1, 2, 2)
     assert only[0].factors == ((2, 1),) and only[0].cofactor == 1
 
-    unit = _run(-2, 1, 2)[0]
+    unit = _dump(-2, 1)[0]
     assert unit.sign == -1 and unit.factors == () and unit.cofactor == 1
 
 
 def test_reconstruction_identity():
     for b in B_POOL:
-        for tf in _run(b, 1, 10 ** 5 + 1):
+        for tf in _dump(b, 10 ** 5):
             assert reconstruct(tf) == tf.n * tf.n + b, (b, tf)
 
 
 def test_p_plus_of_matches_oracle():
     # P+ read off each factorization: the cofactor if any, else the top prime
     for b in (1, -2):
-        for tf in _run(b, 1, 10 ** 4 + 1):
+        for tf in _dump(b, 10 ** 4):
             av = abs(tf.n * tf.n + b)
             if av > 1:
                 pp = tf.cofactor if tf.cofactor > 1 else tf.factors[-1][0]
@@ -92,17 +95,17 @@ def test_segment_independence():
 
 def test_short_segment_matches_default_length():
     # over 20,000 terms, many 1024-term segments against the default 2^16
-    assert _run_at(1024, 1, 1, 20001) == _run(1, 1, 20001)
+    assert _run_at(1024, 1, 1, 20001) == _dump(1, 20000)
 
 
 def test_cofactor_prime_when_limit_covers_range():
     rng = random.Random(4242)
-    rows = _run(3, 1, 10 ** 5 + 1)  # default prime_limit = 2*hi
+    rows = _dump(3, 10 ** 5)
     picks = rng.sample(range(len(rows)), 10 ** 4)
     for i in picks:
         tf = rows[i]
         if tf.cofactor > 1:
-            assert tf.cofactor > 2 * 10 ** 5 + 2 - 1  # above prime_limit
+            assert tf.cofactor > 2 * 10 ** 5 + 2  # above the limit
             assert arith.is_prime(tf.cofactor)
         for p, _ in tf.factors:
             assert p <= 2 * (10 ** 5 + 1)
@@ -110,7 +113,7 @@ def test_cofactor_prime_when_limit_covers_range():
 
 def test_small_prime_limit_leaves_composite_leftovers():
     # with a smoothness-style limit the cofactor is only limit-rough
-    rows = {tf.n: tf for tf in _run(1, 1, 40, prime_limit=13)}
+    rows = {tf.n: tf for tf in _run(1, 1, 40, 13)}
     assert rows[38].cofactor == 289  # 17^2 survives a limit of 13
     assert reconstruct(rows[38]) == 38 * 38 + 1
 
@@ -118,10 +121,9 @@ def test_small_prime_limit_leaves_composite_leftovers():
 def test_large_b_small_n_fallback_keeps_cofactor_prime():
     # the oracle zone 3n^2 <= |b| is fully factored whatever the prime
     # limit; past it a limit of 13 leaves 13-rough cofactors
-    for b, hi, kw in ((10 ** 9, 50, {}), (-(10 ** 9 + 7), 50, {}),
-                      (-75001, 201, {"prime_limit": 13})):
+    for b, hi, limit in ((10 ** 9, 50, 100), (-(10 ** 9 + 7), 50, 100), (-75001, 201, 13)):
         cut = math.isqrt(abs(b) // 3)
-        for tf in _run(b, 1, hi, **kw):
+        for tf in _run(b, 1, hi, limit):
             assert reconstruct(tf) == tf.n * tf.n + b
             if tf.n <= cut:
                 assert tf.factors == tuple(naive_factorize(abs(tf.n * tf.n + b)))
@@ -131,16 +133,16 @@ def test_large_b_small_n_fallback_keeps_cofactor_prime():
                 assert all(q > 13 for q, _ in naive_factorize(tf.cofactor))
 
 
-def test_config_validation():
-    with pytest.raises(OutOfDomainError):
-        SieveConfig(0, 10)
-    with pytest.raises(OutOfDomainError):
-        SieveConfig(5, 5)
-    with pytest.raises(CapExceededError):
-        SieveConfig(1, 10 ** 9 + 1)
-    with pytest.raises(OutOfDomainError):
-        SieveConfig(1, 10, prime_limit=1)
-    assert SieveConfig(1, 10).prime_limit == 20
+def test_kernels_refuse_the_cap_and_a_limit_below_2():
+    # the range itself is the caller's to check; both kernels refuse an n
+    # past the cap, and sieve_primes a limit below 2
+    spec = arith.validate_b(1)
+    for kernel in (sieve.sieve_range, sieve.slice_range):
+        with pytest.raises(CapExceededError, match="^n = 1000000000 exceeds the cap 999999999$"):
+            next(kernel(spec, 1, 10 ** 9 + 1, 2))
+        with pytest.raises(OutOfDomainError):
+            next(kernel(spec, 1, 10, 1))
+        assert next(kernel(spec, 1, 10 ** 9, 2))  # n = 999999999 is in
 
 
 def test_csv_dump_format(capsys):

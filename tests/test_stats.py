@@ -6,10 +6,10 @@ import pytest
 from quadfactor import arith, primitive, sieve, stats
 from quadfactor.errors import (OutOfDomainError, PreconditionViolatedError,
                                WindowOutOfRangeError)
-from quadfactor.sieve import SieveConfig
 
 from conftest import (li, naive_chowla_todd_count, naive_extra_new_primes,
-                      naive_factorize, naive_p_plus, naive_prime_flags, naive_prime_pi)
+                      naive_factorize, naive_p_plus, naive_prime_flags, naive_prime_pi,
+                      naive_split_prime_count)
 
 # p = 2 and p | b, p^2 | b, b < 0 with negative terms; -73600 puts every
 # n <= 156 in the sieve's oracle zone (3n^2 <= |b|).  chebyshev_report
@@ -100,7 +100,7 @@ def test_sprime_primes_are_distinct_per_range():
     spec = arith.validate_b(1)
     x = 500
     seen = set()
-    for tf in sieve.sieve_range(spec, SieveConfig(1, x + 1, prime_limit=2 * x)):
+    for tf in sieve.sieve_range(spec, 1, x + 1, 2 * x):
         if tf.cofactor > 1:
             assert tf.cofactor not in seen
             seen.add(tf.cofactor)
@@ -176,6 +176,17 @@ def test_chebyshev_and_nx_match_naive_factorization(monkeypatch):
                 assert hist.counts == counts, (b, x)
                 assert hist.total == sum(counts.values())
                 assert hist.weighted == weighted, (b, x)
+
+
+def test_chebyshev_s_matches_the_split_prime_oracle():
+    # s is the number of primes below 2x dividing Q_x, counted by Euler's
+    # criterion.  At x = 1000 both primes of 1009 * 1013 lie in (x, 2x)
+    # and divide no term, so s leaves them out; |b| near 2^31 puts table
+    # primes above 2x at small x.
+    for b in (1, -2, 7, 12, -72, -75001, 999999, 1009 * 1013, 2 ** 31, -(2 ** 31 - 1)):
+        spec = arith.validate_b(b)
+        for x in (2, 77, 1000) + ((10 ** 5,) if b in (1, -2, 7) else ()):
+            assert stats.chebyshev_report(spec, x).s == naive_split_prime_count(b, x), (b, x)
 
 
 def test_chebyshev_t_at_an_exact_boundary_and_a_huge_K():
