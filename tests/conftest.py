@@ -44,30 +44,16 @@ def naive_prime_set(m):
     return {p for p, _ in naive_factorize(m)} if m > 1 else set()
 
 
-def naive_extra_new_primes(b, x):
-    """E_b(x): the sum of (number of primes new at n) - 1 over the n <= x
-    with more than one new prime, a prime being new at n when it divides
-    |n^2 + b| and no earlier term.  Factors every term and keeps the set
-    of primes seen so far."""
-    seen = set()
-    extra = 0
-    for n in range(1, x + 1):
-        primes = naive_prime_set(abs(n * n + b))
-        extra += max(0, len(primes - seen) - 1)
-        seen |= primes
-    return extra
-
-
-def naive_non_primitive(b, x):
-    """The n <= x whose |n^2 + b| has no primitive divisor, ascending: every
-    prime of the term already divides an earlier term.  Factors every term
-    and keeps the set of primes seen so far."""
+def naive_new_primes(b, x):
+    """The primes new at each n = 1..x, as a list of x sets: a prime is new
+    at n when it divides |n^2 + b| and no earlier term, so P_n has a
+    primitive divisor exactly when its set is not empty.  Factors every
+    term by trial division and keeps the set of primes seen so far."""
     seen = set()
     out = []
     for n in range(1, x + 1):
         primes = naive_prime_set(abs(n * n + b))
-        if primes <= seen:
-            out.append(n)
+        out.append(primes - seen)
         seen |= primes
     return out
 

@@ -12,16 +12,17 @@ produced by this implementation's first oracle run and are asserted to
 """
 
 import math
+import random
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import pytest
 
 from quadfactor import arith, constants, primitive, sieve, stats, stormer
 from quadfactor.cli import _csv
 
-from conftest import (li, naive_chowla_todd_count, naive_prime_flags, naive_prime_pi,
-                      naive_split_prime_count)
+from conftest import (li, naive_chowla_todd_count, naive_new_primes, naive_p_plus,
+                      naive_prime_flags, naive_prime_pi, naive_split_prime_count)
 from test_properties import (run_nx_at_most_two, run_pell_identity,
                              run_rootset_correctness, run_sieve_reconstruction)
 from test_primitive import new_products
@@ -80,14 +81,16 @@ def nx_hists(spec1):
 
 
 def test_criterion_1_fast_definitional_equivalence():
-    """Fast and definitional classification agree for |b| < n <= 5000."""
+    """Fast and definitional classification agree for |b| < n <= 5000: the
+    kernel's product of new primes at n is the product of the primes that
+    the trial-division scan finds new at n."""
     t0 = time.time()
     for b in B_POOL:
-        spec = arith.validate_b(b)
-        defs = primitive.classify_definitional(spec, 5000)
-        for d, v in zip(defs, new_products(spec, 5000), strict=True):
-            if d.n > abs(b):
-                assert d.primitive_prime == (v if v > 1 else None), (b, d.n)
+        pairs = zip(naive_new_primes(b, 5000), new_products(arith.validate_b(b), 5000),
+                    strict=True)
+        for n, (new, v) in enumerate(pairs, 1):
+            if n > abs(b):
+                assert v == math.prod(new), (b, n)
     dt = time.time() - t0
     assert _report(1, dt < 30.0,
                    f"equivalence exact for b in {B_POOL}, n <= 5000, in {dt:.1f}s (< 30s)")
@@ -128,6 +131,39 @@ def test_criterion_3_rho_is_the_prime_count_of_Q_x(rho_1e6, cheb):
     assert rho_1e6[0].checkpoints[-1][1] + e_1 == rep.s + rep.s_prime == RHO_1E6
     # s alone against Euler's criterion over a schoolbook sieve to 2x
     assert rep.s == naive_split_prime_count(1, 10 ** 6)
+
+
+@pytest.mark.slow
+def test_criterion_3_slow_identity_and_sampled_census_at_1e7(spec1):
+    """The identity of criterion 3 at x = 10^7, rho_1(x) + E_1 = s + s', with
+    rho from the census, s from Euler's criterion over a schoolbook sieve
+    and s' from the slice kernel; and the census checked n by n on 200
+    seeded n in [10^6, 10^7).  For b = 1 there is no oracle zone, so by
+    the first-hit lemma an n > 1 is in the census exactly when
+    P+(n^2 + 1) <= 2n, which trial division decides."""
+    x = 10 ** 7
+    t0 = time.time()
+    non = primitive.non_primitive_census(spec1, x).non_primitive
+    rho = x - len(non)
+    e_1 = 0  # as in criterion 3
+    s = naive_split_prime_count(1, x)
+    s_prime = stats.chebyshev_report(spec1, x).s_prime
+    wrong = []
+    members = 0
+    for n in random.Random(1).sample(range(10 ** 6, x), 200):
+        i = bisect_left(non, n)
+        listed = i < len(non) and non[i] == n
+        members += listed
+        if listed != (naive_p_plus(n * n + 1) <= 2 * n):
+            wrong.append(n)
+    dt = time.time() - t0
+    ok = rho + e_1 == s + s_prime and not wrong
+    _report("3 (slow, identity @ 1e7)", ok,
+            f"rho + E_1 = {rho} = s + s' = {s} + {s_prime}; census matches "
+            f"P+(n^2 + 1) <= 2n on 200 seeded n ({members} listed); {dt:.1f}s")
+    assert rho + e_1 == s + s_prime
+    assert wrong == []
+    assert 0 < members < 200  # the sample holds both kinds of n
 
 
 def test_criterion_4_analytic_constants():

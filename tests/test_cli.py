@@ -13,7 +13,7 @@ from quadfactor import arith, cli, stats
 from quadfactor.errors import PreconditionViolatedError
 from quadfactor.svg import render_svg
 
-from conftest import naive_non_primitive
+from conftest import naive_new_primes
 
 
 def run(capsys, *argv):
@@ -89,7 +89,8 @@ def test_census_csv_matches_definitional_oracle(capsys, b):
     x = 3000
     code, out, _ = run(capsys, "census", "--b", str(b), "--x", str(x))
     assert code == 0
-    assert out == "n\n" + "".join(f"{n}\n" for n in naive_non_primitive(b, x))
+    non = [n for n, new in enumerate(naive_new_primes(b, x), 1) if not new]
+    assert out == "n\n" + "".join(f"{n}\n" for n in non)
 
 
 def test_chebyshev_csv_header(capsys):

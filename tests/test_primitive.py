@@ -6,7 +6,7 @@ import pytest
 from quadfactor import arith, constants, primitive, sieve, stats, stormer
 from quadfactor.errors import CapExceededError
 
-from conftest import naive_is_prime, naive_p_plus, naive_prime_set
+from conftest import naive_is_prime, naive_new_primes, naive_p_plus
 
 B_POOL = (1, 2, 3, 5, 7, -2, -3)
 
@@ -16,25 +16,24 @@ def new_products(spec, x):
     return [v for _, new in primitive._first_hits(spec, x) for v in new]
 
 
-def _agrees(st, v):
-    # v is the product of P_n's new primes (in the oracle zone a prime may
-    # carry its exponent): st's prime divides it, and dividing that prime
-    # out leaves 1 when st has one new prime, else a number of smaller P+
-    p = st.primitive_prime
-    if p is None:
-        return v == 1
-    if v % p:
-        return False
-    while v % p == 0:
-        v //= p
-    return (v > 1) == st.multiple and (v == 1 or naive_p_plus(v) < p)
+def _agrees(new, v):
+    # v is the product of the primes new at n (in the oracle zone a prime
+    # may carry its exponent), so naive_prime_set(v) == new: every new
+    # prime divides v, and dividing them all out leaves 1
+    for p in new:
+        if v % p:
+            return False
+        while v % p == 0:
+            v //= p
+    return v == 1
 
 
 def test_definitional_hand_examples():
     b1 = {st.n: st for st in primitive.classify_definitional(arith.validate_b(1), 5)}
     assert not b1[3].has_primitive  # 10 = 2 * 5, both seen at n = 1, 2
-    assert b1[5].has_primitive and b1[5].primitive_prime == 13
-    assert b1[1].has_primitive and b1[1].primitive_prime == 2
+    assert b1[5].has_primitive and b1[1].has_primitive
+    # the naive scan's new primes: 2 at n = 1, 13 at n = 5 (26 = 2 * 13)
+    assert naive_new_primes(1, 5) == [{2}, {5}, set(), {17}, {13}]
     bm2 = list(primitive.classify_definitional(arith.validate_b(-2), 1))
     assert bm2 == [primitive.PrimitiveStatus(1, False)]  # |1 - 2| = 1
 
@@ -49,10 +48,10 @@ def test_fast_hand_examples():
 def test_small_n_statuses_match_oracle():
     # the kernel has no n > |b| precondition: n <= |b| = 3 is classified too
     spec = arith.validate_b(3)
-    want = list(primitive.classify_definitional(spec, 3))
+    want = naive_new_primes(3, 3)
     got = new_products(spec, 3)
     assert len(got) == 3 and all(map(_agrees, want, got)), got
-    assert [st.primitive_prime for st in want] == [2, 7, 3]  # 4 = 2^2, 7, 12 = 2^2 * 3
+    assert want == [{2}, {7}, {3}]  # 4 = 2^2, 7, 12 = 2^2 * 3
 
 
 def test_rho_hand_examples():
@@ -69,27 +68,22 @@ def test_rho_hand_examples():
 
 
 def test_definitional_prime_sets_match_naive():
-    # cross-check the incremental scan against pure trial division
-    for b in (1, -3):
-        spec = arith.validate_b(b)
-        seen = set()
-        for st in primitive.classify_definitional(spec, 300):
-            av = abs(st.n * st.n + b)
-            new = naive_prime_set(av) - seen
-            assert st.has_primitive == bool(new), (b, st.n)
-            if new:
-                assert st.primitive_prime == max(new)
-            seen |= naive_prime_set(av)
+    # cross-check the incremental scan against pure trial division; -1155
+    # puts n <= 19 in the kernel's oracle zone and has several new primes
+    # at some n <= |b|
+    for b in (1, -3, -1155):
+        got = list(primitive.classify_definitional(arith.validate_b(b), 300))
+        assert got == [(n, bool(new)) for n, new in enumerate(naive_new_primes(b, 300), 1)], b
 
 
 def test_fast_agrees_with_definitional():
     # the greatest-prime-factor criterion, exercised beyond |b|
     for b in B_POOL:
         spec = arith.validate_b(b)
-        defs = primitive.classify_definitional(spec, 1200)
-        for d, v in zip(defs, new_products(spec, 1200), strict=True):
-            if d.n > abs(b):
-                assert d.primitive_prime == (v if v > 1 else None), (b, d.n)
+        pairs = zip(naive_new_primes(b, 1200), new_products(spec, 1200), strict=True)
+        for n, (new, v) in enumerate(pairs, 1):
+            if n > abs(b):
+                assert v == math.prod(new), (b, n)
 
 
 def test_first_hit_lemma():
@@ -103,22 +97,19 @@ def test_first_hit_lemma():
     for b in range(-60, 61):
         if b <= 0 and math.isqrt(-b) ** 2 == -b:
             continue
-        spec = arith.validate_b(b)
-        for st in primitive.classify_definitional(spec, 2 * abs(b) + 60):
-            n = st.n
+        for n, new in enumerate(naive_new_primes(b, 2 * abs(b) + 60), 1):
             av = abs(n * n + b)
             lemma = ((av > 1 and naive_p_plus(av) > 2 * n)
                      or (n == 1 and av > 1)
                      or (naive_is_prime(n) and b % n == 0))
-            assert st.has_primitive == lemma, (b, n)
+            assert bool(new) == lemma, (b, n)
 
 
 def test_uniqueness_beyond_b():
     for b in B_POOL:
-        spec = arith.validate_b(b)
-        for st in primitive.classify_definitional(spec, 1200):
-            if st.n > abs(b):
-                assert not st.multiple, (b, st.n)
+        for n, new in enumerate(naive_new_primes(b, 1200), 1):
+            if n > abs(b):
+                assert len(new) <= 1, (b, n)
 
 
 def test_rho_methods_agree():
@@ -127,10 +118,10 @@ def test_rho_methods_agree():
         spec = arith.validate_b(b)
         oracle = []
         count = 0
-        for st in primitive.classify_definitional(spec, 2000):
-            count += st.has_primitive
-            if st.n in marks:
-                oracle.append((st.n, count, count / st.n))
+        for n, new in enumerate(naive_new_primes(b, 2000), 1):
+            count += bool(new)
+            if n in marks:
+                oracle.append((n, count, count / n))
         assert primitive.rho(spec, 2000, marks).checkpoints == oracle, b
 
 
@@ -154,8 +145,7 @@ def test_record_contract():
          {"sigma": 1.5, "theta": 2.1, "alpha": 1.2, "beta": 3.4, "lower_bound": 1.2,
           "upper_bound": 1.5, "conjectural_sigma": 1.44, "theta_iterates": [2.0, 2.1],
           "residuals": {"sigma_equation": 0.0}}),
-        (primitive.PrimitiveStatus,
-         {"n": 4, "has_primitive": True, "primitive_prime": 17, "multiple": False}),
+        (primitive.PrimitiveStatus, {"n": 4, "has_primitive": True}),
         (primitive.DensityReport, {"spec": arith.SequenceSpec(1), "checkpoints": [(2, 2, 1.0)]}),
         (primitive.CensusReport,
          {"spec": arith.SequenceSpec(1), "x": 10, "non_primitive": [3, 7, 8], "count": 3}),
@@ -176,9 +166,8 @@ def test_record_contract():
         for k in fields:
             with pytest.raises(AttributeError):
                 setattr(rec, k, 0)
-    assert primitive.PrimitiveStatus(3, False) == primitive.PrimitiveStatus(3, False, None, False)
     assert repr(next(primitive.classify_definitional(arith.validate_b(1), 1))) == (
-        "PrimitiveStatus(n=1, has_primitive=True, primitive_prime=2, multiple=False)")
+        "PrimitiveStatus(n=1, has_primitive=True)")
 
 
 def test_rho_segment_length_independence(monkeypatch):
@@ -194,18 +183,18 @@ def _admissible(lo, hi):
 
 
 def test_kernel_matches_oracle_sweep(monkeypatch):
-    # every field of every n, n <= |b| included, across segment lengths
+    # the new primes of every n, n <= |b| included, across segment lengths
     # that split the range anywhere (1, a small prime, 97, the real one)
     xs = (1, 2, 7, 50, 700)
     lengths = (1, 37, 97, sieve.SEGMENT)
     for b in _admissible(-150, 150):
         spec = arith.validate_b(b)
-        oracle = list(primitive.classify_definitional(spec, xs[-1]))
+        oracle = naive_new_primes(b, xs[-1])
         for x in xs:
             want = oracle[:x]
-            counts = list(itertools.accumulate(st.has_primitive for st in want))
+            counts = list(itertools.accumulate(bool(new) for new in want))
             rows = [(n, c, c / n) for n, c in enumerate(counts, 1)]
-            non = [st.n for st in want if not st.has_primitive]
+            non = [n for n, new in enumerate(want, 1) if not new]
             for seg in lengths:
                 monkeypatch.setattr(sieve, "SEGMENT", seg)
                 got = new_products(spec, x)
@@ -222,9 +211,8 @@ def test_kernel_needs_no_root_table(monkeypatch):
     x = 3000
     want = {}
     for b in (1, -2, -1155):
-        sts = list(primitive.classify_definitional(arith.validate_b(b), x))
-        want[b] = (sum(st.has_primitive for st in sts),
-                   [st.n for st in sts if not st.has_primitive])
+        non = [n for n, new in enumerate(naive_new_primes(b, x), 1) if not new]
+        want[b] = (x - len(non), non)
 
     def banned(*args, **kwargs):
         raise AssertionError("root-table path called")

@@ -96,11 +96,12 @@ def test_every_cli_option_is_read():
 
 def test_every_public_function_is_reached():
     # a public function or class that no module of the package refers to
-    # serves only tests; these two are oracles, imported by the benchmark's
-    # census-mixed check in perfbench/workloads.py as well as by the tests
+    # serves only tests; these two are the oracles of the benchmark's
+    # census-mixed check in perfbench/workloads.py, and the tests read them
+    # only to check them
     kept = {
         "arith.p_plus",  # P+ oracle of the census-mixed benchmark check
-        "primitive.classify_definitional",  # the definitional oracle
+        "primitive.classify_definitional",  # the definitional scan of that check
     }
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in sorted(SRC.glob("*.py"))}

@@ -7,8 +7,8 @@ from quadfactor import arith, primitive, sieve, stats
 from quadfactor.errors import (OutOfDomainError, PreconditionViolatedError,
                                WindowOutOfRangeError)
 
-from conftest import (li, naive_chowla_todd_count, naive_extra_new_primes,
-                      naive_factorize, naive_p_plus, naive_prime_flags, naive_prime_pi,
+from conftest import (li, naive_chowla_todd_count, naive_factorize, naive_new_primes,
+                      naive_p_plus, naive_prime_flags, naive_prime_pi,
                       naive_split_prime_count)
 
 # p = 2 and p | b, p^2 | b, b < 0 with negative terms; -73600 puts every
@@ -49,7 +49,7 @@ def test_rho_plus_extra_new_primes_is_the_prime_count():
         for x in (100, 2000):
             rho = primitive.rho(spec, x).checkpoints[-1][1]
             rep = stats.chebyshev_report(spec, x)
-            extra[b, x] = naive_extra_new_primes(b, x)
+            extra[b, x] = sum(max(0, len(new) - 1) for new in naive_new_primes(b, x))
             assert rho + extra[b, x] == rep.s + rep.s_prime, (b, x)
     # not vacuous: E_b > 0 for four of the seven b
     assert [extra[b, 2000] for b in pool] == [0, 0, 0, 1, 2, 5, 9]
