@@ -22,7 +22,7 @@ import io
 import json
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from typing import Iterable, List, Optional, Sequence
 
 from . import arith, constants, primitive, sieve, stats, stormer
@@ -192,7 +192,7 @@ def _cmd_nx(args) -> str:
     if args.windows:
         rows = []
         v = 2.0 * args.x
-        top = max(hist.counts) if hist.counts else v
+        top = hist.hits[-1] if hist.hits else v
         while v <= top:
             rows.append([v, stats.vx(hist, v), args.x / math.log(v)])
             v *= math.e
@@ -201,13 +201,12 @@ def _cmd_nx(args) -> str:
             return _csv(rows, header)
         return json.dumps({"b": args.b, "x": args.x,
                            "windows": [dict(zip(header, row)) for row in rows]}) + "\n"
-    # rows made as written: sorted items() holds a tuple per prime (+37 MB at 10^6)
-    counts, primes = hist.counts, sorted(hist.counts)
+    runs = ((p, len(list(g))) for p, g in groupby(hist.hits))
     if args.format == "csv":
-        return _csv(([p, counts[p]] for p in primes), ["p", "count"])
-    return json.dumps({"b": args.b, "x": args.x, "N_total": hist.total,
+        return _csv(runs, ["p", "count"])
+    return json.dumps({"b": args.b, "x": args.x, "N_total": len(hist.hits),
                        "weighted": hist.weighted,
-                       "counts": {str(p): counts[p] for p in primes}}) + "\n"
+                       "counts": {str(p): c for p, c in runs}}) + "\n"
 
 
 def _cmd_chowla_todd(args) -> str:

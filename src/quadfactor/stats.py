@@ -6,9 +6,9 @@ split across primes below and above 2x (the sets S and S'), and the
 finer partition of S' at Kx.  The split is an exact identity:
 sum_S + sum_S' equals log Q_x up to float rounding.
 
-nx_histogram() counts, for n in [x, 2x), how many terms each prime
-p >= 2x divides; vx(hist, v) sums the counts of such a histogram over
-a window (v, e*v], with x read from hist.
+nx_histogram() lists each prime p >= 2x once per n in [x, 2x) with
+p | n^2 + b, in one ascending array, so N_x(p) is the length of p's run;
+vx(hist, v) counts its hits in a window (v, e*v] by bisection.
 
 Both run on sieve.slice_range, which yields per segment the values
 |n^2 + b|, their cofactors above the sieve limit L and the exponent
@@ -36,6 +36,7 @@ over the primes below x; both read one segmented prime sieve (arith).
 
 import math
 from array import array
+from bisect import bisect_right
 from itertools import accumulate, chain, compress
 from operator import mul
 from typing import Dict, List, NamedTuple, Tuple
@@ -62,9 +63,8 @@ class ChebyshevReport(NamedTuple):
 
 class NxHistogram(NamedTuple):
     x: int
-    counts: Dict[int, int]  # p -> number of n in [x, 2x) with p | n^2 + b
-    total: int
-    weighted: float         # sum of N_x(p) log p
+    hits: array      # ascending; p once per n in [x, 2x) with p | n^2 + b
+    weighted: float  # sum of N_x(p) log p
 
 
 def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevReport:
@@ -116,34 +116,33 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
 
 
 def nx_histogram(spec: SequenceSpec, x: int) -> NxHistogram:
-    """Count n in [x, 2x) divisible by each prime p >= 2x.
+    """Each prime p >= 2x once per n in [x, 2x) with p | n^2 + b, in ascending order.
 
     Sieving to 2x leaves exactly those primes in the cofactors; each
     term contributes at most one (two primes above 2x would multiply
-    past n^2 + b for any n < 2x once b < 4x - 1).
+    past n^2 + b for any n < 2x once b < 4x - 1).  A prime p >= 2x is
+    listed at most twice, at its roots n and p - n: [x, 2x) is shorter than p.
     """
     if x < 2:
         raise PreconditionViolatedError("x must be >= 2")
     limit = 2 * x
     single = limit * limit  # a cofactor up to this is one prime
-    counts: Dict[int, int] = {}
+    hits = array("q")  # each is below (2x)^2 + 2^31 < 2^63
     for _, rem, _ in sieve.slice_range(spec, x, 2 * x, limit):
         for c in rem:
             if c > single:
-                for p, _ in arith.factorize(c):
-                    counts[p] = counts.get(p, 0) + 1
+                hits.extend(p for p, _ in arith.factorize(c))
             elif c > 1:
-                counts[c] = counts.get(c, 0) + 1
-    return NxHistogram(x, counts, sum(counts.values()),
-                       math.fsum(map(mul, counts.values(), map(math.log, counts))))
+                hits.append(c)
+    hits = array("q", sorted(hits))  # sorted once the sieve's buckets are freed
+    return NxHistogram(x, hits, math.fsum(map(math.log, hits)))
 
 
 def vx(hist: NxHistogram, v: float) -> int:
-    """Sum of hist's N_x(p) over primes p in the window (v, e*v]; needs v >= 2x."""
+    """Number of hits in the window (v, e*v], the sum of N_x(p) there; needs v >= 2x."""
     if v < 2 * hist.x:
         raise WindowOutOfRangeError(f"window start {v} below 2x = {2 * hist.x}")
-    hi = math.e * v
-    return sum(c for p, c in hist.counts.items() if v < p <= hi)
+    return bisect_right(hist.hits, math.e * v) - bisect_right(hist.hits, v)
 
 
 def chowla_todd_density(x: int) -> Tuple[int, float]:

@@ -51,6 +51,7 @@ FAIL_FAST = "tests/test_primitive.py::test_kernel_validates_before_any_segment"
 NAIVE = "tests/test_stats.py::test_chebyshev_and_nx_match_naive_factorization"
 SWEEP = "tests/test_primitive.py::test_kernel_matches_oracle_sweep"
 T_BOUNDARY = "tests/test_stats.py::test_chebyshev_t_at_an_exact_boundary_and_a_huge_K"
+VX_EDGES = "tests/test_stats.py::test_vx_window_edges"
 
 MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     # residuosity by s - 2 squarings rejects residues whose a^q has order 2^(s-1)
@@ -100,6 +101,17 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     (STATS, "if p < kx]", "if p <= kx]", T_BOUNDARY),
     # Kx = inf at K = 1e308 makes math.ceil raise OverflowError
     (STATS, "math.ceil(min(K * x, 2.0 ** 63))", "math.ceil(K * x)", T_BOUNDARY),
+    # the nx hits left in sieve order: the CSV rows and the bisections
+    # need them ascending
+    (STATS, 'array("q", sorted(hits))', 'array("q", hits)',
+     "tests/test_stats.py::test_nx_against_direct_scan"),
+    # the window (v, e*v] closed below, or open above (v = 20, e*v = 10^6)
+    (STATS, "bisect_right(hist.hits, v)", "bisect_left(hist.hits, v)", VX_EDGES),
+    (STATS, "bisect_right(hist.hits, math.e * v)", "bisect_left(hist.hits, math.e * v)",
+     VX_EDGES),
+    # a cofactor 1 listed as a hit
+    (STATS, "elif c > 1:\n                hits.append(",
+     "elif c > 0:\n                hits.append(", "tests/test_stats.py::test_nx_hand_example"),
     # a sieve limit that ignores b leaves composite cofactors
     (STATS, "limit = arith.isqrt(x * x + abs(spec.b)) + 1", "limit = x + 1",
      "tests/test_stats.py::test_chebyshev_sieve_limit"),

@@ -153,6 +153,28 @@ def test_chowla_and_mertens_memory_bounded_at_1e8():
         assert out.stdout.splitlines()[1].startswith("100000000,"), sub
 
 
+def test_nx_memory_bounded_at_1e6():
+    # The histogram is one array of 8-byte hit primes, so nx at x = 10^6
+    # fits in 96 MB (CSV) and 208 MB (JSON) of address space; a dict entry
+    # per prime (718,469 of them) and a sort of its keys does not.  The
+    # limits are set in the children only, which run side by side.
+    children = []
+    for fmt, mb, head in (("csv", 96, "p,count\n"),
+                          ("json", 208, '{"b": 1, "x": 1000000, "N_total": ')):
+        def cap(limit=mb << 20):
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        child = subprocess.Popen([sys.executable, "-m", "quadfactor.cli", "nx", "--b", "1",
+                                  "--x", "1000000", "--format", fmt],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                 preexec_fn=cap, cwd=Path(quadfactor.__file__).parent.parent)
+        children.append((fmt, head, child))
+    for fmt, head, child in children:
+        out, err = child.communicate(timeout=600)
+        assert child.returncode == 0 and err == "", (fmt, err[-300:])
+        assert out.startswith(head), fmt
+
+
 def test_x_past_the_cap_refused_before_any_table():
     # Unchecked, each argv builds a table of about x entries first (a prime
     # flag array of sqrt(x) bytes, a set of x checkpoints) and dies of

@@ -1,5 +1,6 @@
 import itertools
 import math
+from array import array
 
 import pytest
 
@@ -153,7 +154,7 @@ def test_record_contract():
         (stats.ChebyshevReport,
          {"x": 10, "K": 4.0, "log_Qx": 1.5, "sum_S": 1.0, "sum_Sprime": 0.5,
           "s": 3, "s_prime": 2, "t": 1, "u": 1}),
-        (stats.NxHistogram, {"x": 10, "counts": {29: 1}, "total": 1, "weighted": 3.4}),
+        (stats.NxHistogram, {"x": 10, "hits": array("q", [29]), "weighted": 3.4}),
         (stormer.PellSolution, {"D": 2, "k": 1, "x": 1, "y": 1}),
         (stormer.SmoothResult, {"B": 14, "solutions": [1, 2], "max_n": 2, "truncated_Ds": []}),
     ]

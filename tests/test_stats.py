@@ -1,4 +1,6 @@
 import math
+from array import array
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -110,9 +112,9 @@ def test_sprime_primes_are_distinct_per_range():
 def test_nx_hand_example():
     spec = arith.validate_b(1)
     hist = stats.nx_histogram(spec, 5)
-    assert dict(hist.counts) == {13: 2, 37: 1, 41: 1}
-    assert hist.total == 4
-    assert 2.5 < hist.total  # lower-bound shape x/2 < total at this size
+    assert Counter(hist.hits) == {13: 2, 37: 1, 41: 1}
+    assert len(hist.hits) == 4
+    assert 2.5 < len(hist.hits)  # lower-bound shape x/2 < total at this size
     assert hist.weighted == pytest.approx(
         2 * math.log(13) + math.log(37) + math.log(41), rel=1e-12)
 
@@ -121,8 +123,8 @@ def test_nx_counts_at_most_two():
     for b, x in ((1, 100), (1, 1000), (2, 500), (-2, 500)):
         spec = arith.validate_b(b)
         hist = stats.nx_histogram(spec, x)
-        assert hist.counts, (b, x)
-        for p, c in hist.counts.items():
+        assert hist.hits, (b, x)
+        for p, c in Counter(hist.hits).items():
             assert p > 2 * x
             assert 1 <= c <= 2, (b, x, p)
 
@@ -132,12 +134,10 @@ def test_nx_against_direct_scan():
     spec = arith.validate_b(1)
     x = 300
     hist = stats.nx_histogram(spec, x)
-    direct = {}
-    for n in range(x, 2 * x):
-        for p, _ in arith.factorize(n * n + 1):
-            if p >= 2 * x:
-                direct[p] = direct.get(p, 0) + 1
-    assert dict(hist.counts) == direct
+    direct = [p for n in range(x, 2 * x) for p, _ in arith.factorize(n * n + 1) if p >= 2 * x]
+    # ascending, each prime once per term it divides
+    assert list(hist.hits) == sorted(direct)
+    assert len(direct) > len(set(direct))  # some prime divides two terms
 
 
 def test_chebyshev_and_nx_match_naive_factorization(monkeypatch):
@@ -173,8 +173,8 @@ def test_chebyshev_and_nx_match_naive_factorization(monkeypatch):
                     assert (rep.log_Qx, rep.sum_S, rep.sum_Sprime) == (log_q, sum_s,
                                                                        sum_sp), (b, x, K)
                 hist = stats.nx_histogram(spec, x)
-                assert hist.counts == counts, (b, x)
-                assert hist.total == sum(counts.values())
+                assert Counter(hist.hits) == counts, (b, x)
+                assert len(hist.hits) == sum(counts.values())
                 assert hist.weighted == weighted, (b, x)
 
 
@@ -232,6 +232,19 @@ def test_vx_examples():
     assert stats.vx(hist, 4 * 25 + 2) == 0
     with pytest.raises(WindowOutOfRangeError):
         stats.vx(hist, 9)
+
+
+def test_vx_window_edges():
+    # the window (v, e*v] is open below and closed above, and a prime
+    # listed twice counts twice
+    v = 10 ** 6 / math.e
+    assert math.e * v == 10 ** 6
+    hist = stats.NxHistogram(10, array("q", [20, 20, 23, 23, 59, 10 ** 6, 10 ** 6 + 1]), 0.0)
+    assert stats.vx(hist, 20.0) == 2  # 23 twice; the hits at 20 = v are out
+    assert stats.vx(hist, v) == 1  # 10^6 = e*v is in, 10^6 + 1 is out
+    assert stats.vx(hist, 10 ** 6 - 1) == 2
+    with pytest.raises(WindowOutOfRangeError):
+        stats.vx(hist, 19.999)
 
 
 def test_chowla_todd_hand_and_identity_oracle():
