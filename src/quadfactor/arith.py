@@ -217,9 +217,9 @@ def factorize(m: int) -> list:
     by _rho on a work list until every piece is prime: a piece below
     41^2 has no prime factor up to 37 left, so it is prime without a
     test, and is_prime decides the rest.  It
-    factors |b| and the oracle-zone leftovers of the first-hit kernel,
-    the oracle-zone cofactors of the sieve dump, the nx cofactors above
-    the square of the sieve limit, and P+ for p_plus.
+    factors |b| for the first-hit scans, the oracle-zone cofactors of the
+    sieve dump, the nx cofactors above the square of the sieve limit,
+    and P+ for p_plus.
     """
     if m < 1:
         raise OutOfDomainError(f"cannot factor {m}")

@@ -278,6 +278,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Error as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("computation error: out of memory", file=sys.stderr)
+        return 2
     if not args.out:
         sys.stdout.write(text)
         return 0

@@ -10,19 +10,16 @@ for a prime p dividing b it is p, and any other p has the two roots
 n < p - n, so a new p exceeds 2n.  One self-sieving kernel, valid for
 every n (including n <= |b|), scans n = 1..x in ascending segments and
 divides out of |P_n| every prime whose least root lies below n: what is
-left at n is exactly the product of the primes new at n.  The primes are
-found as the scan reaches them, so no prime table and no modular square
-root is computed:
-
-* 2 and the primes of b (one factorization of |b|) are known from the
-  start and divided out of each of their hits in a loop; they are new
-  only at their least root.
-* Any other prime q left over at n registers its roots n and q - n,
-  lifted by Hensel's lemma to every q^k <= x^2 + |b|, with the division
-  scheduler of sieve, from their first hits after n.  A prime with
-  q - n > x never recurs in range and is not registered.
-* Once 3n^2 > |b|, |P_n| < 4n^2, so the leftover is 1 or a single prime
-  above 2n.  Below that (the oracle zone) it is factored by arith.
+left at n is exactly the product of the primes new at n.  It starts
+from sieve._first_hit_setup: 2 and the primes of b (one factorization
+of |b|) are divided out of each of their hits in a loop, and the other
+primes up to T = isqrt(z^2 + |b|) + 1, z = min(isqrt(|b| // 3), x), are
+lifted by Hensel's lemma and divided by the scheduler of sieve from
+n = 1.  Every larger prime q is then the whole leftover at its least
+root n and registers its roots n and q - n, lifted the same way, from
+their first hits after n; a prime with q - n > x never recurs in range
+and is not registered.  The primes known before the scan are multiplied
+back at their least root, and nothing but |b| is factored.
 
 rho() counts the n whose product of new primes exceeds 1, and
 non_primitive_census() lists the others.  classify_definitional() is
@@ -31,7 +28,6 @@ term with arith and keeps the set of primes seen so far.  The tests
 check the kernel against a trial-division scan of their own.
 """
 
-from itertools import islice
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import arith, sieve
@@ -75,47 +71,28 @@ def _first_hits(spec: SequenceSpec, x: int) -> Iterator[tuple]:
     sieve.SEGMENT (the last one may be shorter); the output does not
     depend on that length.
 
-    new[i] is the product of the primes new at n = lo + i, so 1 exactly
-    when P_n has no primitive divisor.  Past |b| it is 1 or the one new
-    prime; in the oracle zone a new prime may appear with its exponent.
+    new[i] is the product of the primes new at n = lo + i, each taken
+    once, so 1 exactly when P_n has no primitive divisor.
     """
     sieve._check_cap(x + 1)
     b, size = spec.b, sieve.SEGMENT
-    top = x * x + abs(b)  # no |P_n| with n <= x exceeds this
-    cut = arith.isqrt(abs(b) // 3)  # the oracle zone is n <= cut
-    roots = {2: b % 2}  # fallback prime -> its root mod p
-    roots.update((p, 0) for p, _ in arith.factorize(abs(b)) if p <= x)
-    first = {r or p: p for p, r in roots.items() if (r or p) <= x}  # least root -> p
-    add, divide = sieve._scheduler(1, x + 1)
+    top, fallback, table, add, divide = sieve._first_hit_setup(spec, x)
+    # (least root, p) for the primes known before the scan, last root first
+    first = sorted([(r or p, p) for p, r in fallback.items()]
+                   + [(levels[0][1], p) for p, levels in table], reverse=True)
 
     for lo in range(1, x + 1, size):
         hi = min(lo + size, x + 1)
         rem = sieve._values(b, lo, hi)
         divide(rem, lo)
-        # sieve._divide_fallback without its exponent count, which costs
-        # one addition per extra division (per hit, not once per prime per
-        # segment) and made a 2^16 segment at b = -73600 20-30% slower
-        for p, r in roots.items():
-            for i in range((r - lo) % p, hi - lo, p):
-                v = rem[i] // p  # p divides every term at its root
-                while v % p == 0:
-                    v //= p
-                rem[i] = v
-
-        for n in range(lo, min(hi, cut + 1)):
-            v = rem[n - lo]
-            if v > 1:
-                for q, _ in arith.factorize(v):
-                    if q - n <= x:
-                        add(q, _hensel_levels(q, n, b, top), n + 1)
-        start = max(lo, cut + 1)
-        for n, v in enumerate(islice(rem, start - lo, None), start):
+        sieve._strip_fallback(rem, lo, fallback)
+        for n, v in enumerate(rem, lo):
             if 1 < v <= n + x:  # a new prime q with q - n <= x recurs in range
                 add(v, _hensel_levels(v, n, b, top), n + 1)
 
-        for n, p in first.items():
-            if lo <= n < hi:
-                rem[n - lo] *= p
+        while first and first[-1][0] < hi:
+            n, p = first.pop()
+            rem[n - lo] *= p
         yield lo, rem
 
 

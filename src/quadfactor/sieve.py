@@ -13,35 +13,37 @@ than 2n: two factors above the limit would multiply past n^2 + b.  In
 the zone arith.factorize splits the cofactors of the handful of smaller
 n, so every term of the dump is fully factored.
 
-The kernels here and in primitive take [lo, hi) from the caller, which
-checks 1 <= lo < hi, and refuse one past HI_CAP (_check_cap) before any
-prime table or factorization.  They scan it in ascending segments of the
-one fixed length SEGMENT (read at run time, so a test can patch it in);
-the output does not depend on the length.
+The kernels here take [lo, hi) from the caller, which checks
+1 <= lo < hi, and the first-hit scans n = 1..x; each refuses an n past
+HI_CAP (_check_cap) before any prime table or factorization.  They scan
+in ascending segments of the one fixed length SEGMENT (read at run time,
+so a test can patch it in); the output does not depend on the length.
 
 sieve_range streams one TermFactorization per n, dividing each hit of
 each root mod p in a loop; it serves only the raw `sieve` dump.
 
-The two Hensel kernels, slice_range here (the aggregate statistics, no
-per-term record) and primitive's first-hit kernel (the primitive-divisor
-count), divide prime powers instead.  A root mod an odd p not dividing
-b lifts by Hensel's lemma (_hensel_levels) to one root mod p^k for every
-p^k up to the largest |n^2 + b|; p^k divides n^2 + b exactly when n is
-congruent to one of these roots, so one division by p per hit of every
-(p^k, root) removes exactly the exponent of p.  One scheduler
-(_scheduler) places these divisions for both kernels: a modulus below
-SEGMENT becomes one strided slice division per segment, and a larger
-one, which hits a segment at most once, waits in the bucket of the
-segment where it next hits (Oliveira e Silva, Herzog and Pardi,
-Math. Comp. 83, 2014).  For p = 2 and p | b the roots mod p^k can
-multiply, so those primes fall back to dividing each hit mod p in a
-loop.  slice_range lifts each prime as it walks the sieve_primes list
-and registers its levels with the scheduler at once; it counts the
-prime's exponent from the hits of those levels in range, the same hits
-the scheduler divides, so |n^2 + b| = prod p^e * cofactor holds by
-construction.
+The Hensel kernels, slice_range here (the cofactors of the nx
+histogram, no per-term record) and the first-hit scans of primitive and
+stats.chebyshev_report, divide prime powers instead.  A root mod an odd
+p not dividing b lifts by Hensel's lemma (_hensel_levels) to one root
+mod p^k for every p^k up to the largest |n^2 + b|; p^k divides n^2 + b
+exactly when n is congruent to one of these roots, so one division by p
+per hit of every (p^k, root) removes exactly the exponent of p.  One
+scheduler (_scheduler) places these divisions for all of them: a
+modulus below SEGMENT becomes one strided slice division per segment,
+and a larger one, which hits a segment at most once, waits in the
+bucket of the segment where it next hits (Oliveira e Silva, Herzog and
+Pardi, Math. Comp. 83, 2014).  For p = 2 and p | b the roots mod p^k
+can multiply, so those primes fall back to dividing each hit mod p in a
+loop (_divide_fallback, or _strip_fallback where no exponent is
+counted).  slice_range lifts every prime of its sieve_primes list up
+front.  A first-hit scan (_first_hit_setup) lifts only the primes up to
+T = isqrt(z^2 + |b|) + 1, z = min(isqrt(|b| // 3), x), and meets every
+larger prime as the leftover of its least root, where it registers the
+prime's levels from the next n.
 """
 
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from . import arith
@@ -150,7 +152,8 @@ def _hensel_levels(p: int, r: int, b: int, top: int) -> list:
 
 def _values(b: int, lo: int, hi: int) -> list:
     """|n^2 + b| for n in [lo, hi)."""
-    vals = [n * n + b for n in range(lo, hi)]
+    # (n + 1)^2 + b = (n^2 + b) + 2n + 1: one exact addition per term
+    vals = list(accumulate(range(2 * lo + 1, 2 * hi - 1, 2), initial=lo * lo + b))
     if lo * lo + b < 0:  # n^2 + b < 0 exactly for n <= isqrt(-b - 1)
         k = min(hi, arith.isqrt(-b - 1) + 1) - lo
         vals[:k] = [-v for v in vals[:k]]
@@ -214,8 +217,8 @@ def _divide_fallback(rem: list, lo: int, fallback: dict, exps: dict) -> None:
 
     fallback maps p to its one root r mod p.  p divides every value at
     n == r, so each hit is divided by p once and then in a loop until p
-    no longer divides it; exps[p] is set to the number of divisions when
-    there are any.
+    no longer divides it; the number of divisions, when there are any,
+    is added to exps[p].
     """
     length = len(rem)
     for p, r in fallback.items():
@@ -228,46 +231,79 @@ def _divide_fallback(rem: list, lo: int, fallback: dict, exps: dict) -> None:
                 e += 1
             rem[i] = v
         if e:
-            exps[p] = e
+            exps[p] = exps.get(p, 0) + e
 
 
-def slice_range(spec: SequenceSpec, lo: int, hi: int, limit: int) -> Iterator[tuple]:
-    """Stream (vals, rem, exps) per segment of [lo, hi), ascending.
+def _strip_fallback(rem: list, lo: int, fallback: dict) -> None:
+    """_divide_fallback without its exponent count, for the scans that need none.
 
-    The exact counterpart of sieve_range for callers that need only
-    exponent totals and cofactors: no per-term factor list is built.
-    vals are the segment's values |n^2 + b| and rem what is left of them
-    once every prime <= limit is divided out, so a cofactor is a
-    product of primes above the limit.  exps maps primes to exponents,
-    with only primes that divide some value in range, and the exps of
-    all segments add up to the exponent totals over [lo, hi): a lifted
-    prime is counted once, in the first segment, as the number of hits
-    of its levels in range, and a fallback prime per segment, division
-    by division.  So |n^2 + b| = prod p^e * cofactor over the range.
-    Registration is streamed: each prime of sieve_primes is lifted,
-    registered with the scheduler and counted before the next one, and
-    only the schedule is kept for the segments.
+    The count costs one addition per extra division, per hit and not
+    once per prime per segment; at b = -73600 it made a 2^16 segment
+    10-30% slower.
+    """
+    length = len(rem)
+    for p, r in fallback.items():
+        for i in range((r - lo) % p, length, p):
+            v = rem[i] // p  # p divides every value at its root
+            while v % p == 0:
+                v //= p
+            rem[i] = v
+
+
+def slice_range(spec: SequenceSpec, lo: int, hi: int, limit: int) -> Iterator[list]:
+    """Stream the cofactors of [lo, hi) above limit, one list per segment, ascending.
+
+    The counterpart of sieve_range for a caller that needs only the
+    cofactors: every prime <= limit is divided out of |n^2 + b|, a
+    lifted prime by the scheduler and a fallback prime by its per-hit
+    loop (_strip_fallback), so what is left is a product of primes
+    above the limit.
     """
     _check_cap(hi)
     b = spec.b
     top = (hi - 1) ** 2 + abs(b)  # no value in range exceeds this
     add, divide = _scheduler(lo, hi)
-    fallback, exps = {}, {}
+    fallback = {}
     for p, roots in sieve_primes(spec, limit):
         if p == 2 or b % p == 0:
             fallback[p] = roots[0]
         elif p <= top:  # p > top divides no value in range
-            levels = _hensel_levels(p, roots[0], b, top)
-            add(p, levels, lo)
-            e = 0
-            for pk, r in levels:  # the n == r (mod p^k) in [lo, hi)
-                e += (hi - 1 - r) // pk - (lo - 1 - r) // pk
-            if e:
-                exps[p] = e
+            add(p, _hensel_levels(p, roots[0], b, top), lo)
     for slo in range(lo, hi, SEGMENT):
-        vals = _values(b, slo, min(slo + SEGMENT, hi))
-        rem = vals[:]
+        rem = _values(b, slo, min(slo + SEGMENT, hi))
         divide(rem, slo)
-        _divide_fallback(rem, slo, fallback, exps)
-        yield vals, rem, exps
-        exps = {}
+        _strip_fallback(rem, slo, fallback)
+        yield rem
+
+
+def _first_hit_setup(spec: SequenceSpec, x: int) -> tuple:
+    """What a first-hit scan of n = 1..x starts from: (top, fallback, table, add, divide).
+
+    top = x^2 + |b| bounds every |n^2 + b| in range.  fallback maps 2
+    and the primes of b up to x, from one arith.factorize(|b|), to their
+    root mod p, for the per-hit loop (_divide_fallback or
+    _strip_fallback).  table lists (p, levels) for every other prime
+    p <= T = isqrt(z^2 + |b|) + 1 with a root, z = min(isqrt(|b| // 3), x):
+    levels are p's Hensel levels up to top, least root first, already
+    registered from n = 1 with the scheduler (add, divide) of [1, x].
+
+    Once the scheduler and the fallback loop have divided, the leftover
+    of |n^2 + b| at every n <= x is 1 or one prime q, whose least root is
+    n: for n <= z because q > T and T^2 > |n^2 + b|, and for n > z because
+    q > 2n and |n^2 + b| < 4n^2.  The scan registers q from n + 1 when its
+    other root q - n is at most x; otherwise q divides no later term.  So
+    no scan factors anything but |b|.
+    """
+    b = spec.b
+    top = x * x + abs(b)
+    z = min(arith.isqrt(abs(b) // 3), x)
+    fallback = {2: b % 2}
+    fallback.update((p, 0) for p, _ in arith.factorize(abs(b)) if p <= x)
+    add, divide = _scheduler(1, x + 1)
+    table = []
+    for p, roots in sieve_primes(spec, arith.isqrt(z * z + abs(b)) + 1):
+        if p != 2 and b % p:
+            levels = _hensel_levels(p, roots[0], b, top)
+            add(p, levels, 1)
+            table.append((p, levels))
+    return top, fallback, table, add, divide

@@ -1,27 +1,28 @@
 """Diagnostic sums over the factored sequence and two classical densities.
 
-chebyshev_report() aggregates, from a full factor sieve of n <= x, the
-log of the term product Q_x = prod |n^2 + b|, its exponent-weighted
-split across primes below and above 2x (the sets S and S'), and the
-finer partition of S' at Kx.  The split is an exact identity:
-sum_S + sum_S' equals log Q_x up to float rounding.
+chebyshev_report() aggregates, from the exact factorization of every
+term with n <= x, the log of the term product Q_x = prod |n^2 + b|, its
+exponent-weighted split across primes below and above 2x (the sets S
+and S'), and the finer partition of S' at Kx.  The split is an exact
+identity: sum_S + sum_S' equals log Q_x up to float rounding.
 
 nx_histogram() lists each prime p >= 2x once per n in [x, 2x) with
 p | n^2 + b, in one ascending array, so N_x(p) is the length of p's run;
 vx(hist, v) counts its hits in a window (v, e*v] by bisection.
 
-Both run on sieve.slice_range, which yields per segment the values
-|n^2 + b|, their cofactors above the sieve limit L and the exponent
-total of every prime up to L, without a per-term factor list.  The
-totals and the cofactors come from the same exact divisions
-(Hensel-lifted slices, with a per-hit loop for p = 2 and the primes
-dividing b), so every prime of Q_x is counted with its full exponent.
-chebyshev_report sieves to L = isqrt(x^2 + |b|) + 1, so every
-|n^2 + b| is under L^2 and a cofactor is one prime: the cofactor
-primes in (L, 2x) join S by value, and when L > 2x the table primes
-at or above 2x join S'.  It never factors.  nx_histogram sieves to
-L = 2x and splits a cofactor into primes by arith only when it
-exceeds L^2.
+chebyshev_report is a first-hit scan on sieve._first_hit_setup, as
+primitive's kernel is: what is left of a term is 1 or the one prime q
+whose least root it is.  One loop over the leftovers files each q: a q
+whose other root q - n is at most x is registered from n + 1 and joins
+S with its exponent, the hits of its Hensel levels in [n, x]; any other
+q divides no other term and joins S' (q >= 2x) or S with exponent 1.
+A table prime joins S or S' with the hits of its levels as exponent,
+and 2 and the primes of b are counted division by division.  Nothing
+but |b| is factored.
+
+nx_histogram runs on sieve.slice_range, which yields per segment the
+cofactors of |n^2 + b| above a sieve limit.  It sieves to L = 2x and
+splits a cofactor into primes by arith only when it exceeds L^2.
 
 Every float sum is one math.fsum, which is correctly rounded whatever
 the order of its terms (Shewchuk, Discrete Comput. Geom. 18, 1997).
@@ -44,6 +45,7 @@ from typing import Dict, List, NamedTuple, Tuple
 from . import arith, sieve
 from .arith import SequenceSpec
 from .errors import OutOfDomainError, PreconditionViolatedError, WindowOutOfRangeError
+from .sieve import _hensel_levels
 
 
 _WHEEL_30 = (1, 7, 11, 13, 17, 19, 23, 29)  # residues prime to 30
@@ -75,34 +77,49 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
         raise PreconditionViolatedError("K must be > 2")
     if K == math.inf:
         raise PreconditionViolatedError("K must be finite")
-    bound = 2 * x
-    # Every |n^2 + b| with n <= x is below L^2 for L = isqrt(x^2 + |b|) + 1,
-    # so with the primes up to L divided out a cofactor above 1 is one
-    # prime.  Cofactor primes in (L, 2x) can repeat, so they join exps.
-    limit = arith.isqrt(x * x + abs(spec.b)) + 1
-    exps: Dict[int, int] = {}
+    sieve._check_cap(x + 1)
+    b, size, bound = spec.b, sieve.SEGMENT, 2 * x
+    top, fallback, table, add, divide = sieve._first_hit_setup(spec, x)
+
     # A prime p >= 2x divides at most one term with n <= x, since two such
     # terms would need n1 + n2 = p.  So the S' primes need no merging: a
-    # cofactor joins the array sprime with exponent 1 (about 630k at
-    # x = 10^6, 8 bytes each), and when L > 2x the table primes >= 2x
-    # leave exps for big with their exponents.
+    # leftover prime joins the array sprime with exponent 1 (about 630k at
+    # x = 10^6, 8 bytes each), and a table prime >= 2x joins big with its
+    # exponent.
     sprime = array("q")  # each is at most x^2 + |b| < HI_CAP^2 + 2^31 < 2^63
+    exps: Dict[int, int] = {}
+    big: Dict[int, int] = {}
+    # The exponent of a prime in prod |P_n| over [n0, x] is the number of
+    # hits of its levels (p^k, r) there, r > 0: (x - r) // p^k + 1 from n0 = 1.
+    for p, levels in table:
+        e = sum((x - r) // pk + 1 for pk, r in levels)
+        if e:
+            (big if p >= bound else exps)[p] = e
 
     def logs():
         """Per segment, collect the primes of S and S', then yield the terms' logs."""
-        for vals, rem, seg_exps in sieve.slice_range(spec, 1, x + 1, limit):
-            for p, e in seg_exps.items():
-                exps[p] = exps.get(p, 0) + e
-            for c in rem:
-                if c >= bound:
-                    sprime.append(c)
-                elif c > 1:
-                    exps[c] = exps.get(c, 0) + 1
+        for lo in range(1, x + 1, size):
+            vals = sieve._values(b, lo, min(lo + size, x + 1))
+            rem = vals[:]
+            divide(rem, lo)
+            sieve._divide_fallback(rem, lo, fallback, exps)
+            for n, v in enumerate(rem, lo):
+                if v > 1:  # the one prime new at n outside table and fallback
+                    if v - n <= x:  # it recurs at v - n, and v < 2x
+                        levels = _hensel_levels(v, n, b, top)
+                        add(v, levels, n + 1)
+                        e = 0  # its hits in [n, x]
+                        for pk, r in levels:
+                            e += (x - r) // pk - (n - 1 - r) // pk
+                        exps[v] = e
+                    elif v >= bound:
+                        sprime.append(v)
+                    else:
+                        exps[v] = 1
             yield map(math.log, vals)
 
     # One fsum over all terms rounds once, so no segment length can show.
     log_q = math.fsum(chain.from_iterable(logs()))
-    big = {p: exps.pop(p) for p in [p for p in exps if p >= bound]}
     sum_sp = math.fsum(chain(map(math.log, sprime),
                              map(mul, big.values(), map(math.log, big))))
     s_prime = len(sprime) + len(big)
@@ -128,7 +145,7 @@ def nx_histogram(spec: SequenceSpec, x: int) -> NxHistogram:
     limit = 2 * x
     single = limit * limit  # a cofactor up to this is one prime
     hits = array("q")  # each is below (2x)^2 + 2^31 < 2^63
-    for _, rem, _ in sieve.slice_range(spec, x, 2 * x, limit):
+    for rem in sieve.slice_range(spec, x, 2 * x, limit):
         for c in rem:
             if c > single:
                 hits.extend(p for p, _ in arith.factorize(c))

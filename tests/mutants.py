@@ -15,13 +15,13 @@ When the code a mutant targets moves, the exact-text match fails loudly:
 update the mutant with the code.
 
 Equivalent mutants, left out because they change no output:
-- `c >= bound` -> `c > bound` in chebyshev_report: 2x is never prime for
-  x >= 2, so no cofactor equals 2x.
+- `v >= bound` -> `v > bound` in chebyshev_report: 2x is never prime for
+  x >= 2, so no leftover equals 2x.
 - `p >= bound` -> `p > bound` in chebyshev_report, for the same reason.
-- `isqrt(x * x + abs(spec.b)) + 1` -> `isqrt(x * x + abs(spec.b))` in
-  chebyshev_report: two primes above isqrt(x^2 + |b|) already multiply
-  past x^2 + |b|, so a cofactor is still one prime.  Only the limit
-  pinned by test_chebyshev_sieve_limit sees it.
+- `isqrt(z * z + abs(b)) + 1` -> `isqrt(z * z + abs(b))` in
+  sieve._first_hit_setup: two primes above isqrt(z^2 + |b|) already
+  multiply past z^2 + |b|, so a leftover is still one prime.  Only the
+  table limit pinned by FIRST_HIT_T sees it.
 - `s + pk < length` -> `<=` in sieve._scheduler's divide: at equality
   the slice holds one element, and both branches divide it once.
 - `isqrt((X - 1) // 4)` -> `isqrt(X // 4)` in stats._chowla_todd_counts:
@@ -48,6 +48,7 @@ STORMER = "src/quadfactor/stormer.py"
 CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_fast_definitional_equivalence"
 CRITERION_10 = "tests/test_acceptance.py::test_criterion_10_property_suites"
 FAIL_FAST = "tests/test_primitive.py::test_kernel_validates_before_any_segment"
+FIRST_HIT_T = "tests/test_primitive.py::test_kernel_needs_no_root_table"
 NAIVE = "tests/test_stats.py::test_chebyshev_and_nx_match_naive_factorization"
 SWEEP = "tests/test_primitive.py::test_kernel_matches_oracle_sweep"
 T_BOUNDARY = "tests/test_stats.py::test_chebyshev_t_at_an_exact_boundary_and_a_huge_K"
@@ -63,15 +64,19 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     # past the table the least non-residue of 9257329 is 53
     (ARITH, "z = 53", "z = 54",
      "tests/test_arith.py::test_roots_mod_p_past_the_reciprocity_table"),
-    # a short oracle zone leaves two-prime leftovers to the one-prime path
-    (PRIMITIVE, "cut = arith.isqrt(abs(b) // 3)", "cut = arith.isqrt(abs(b) // 4)", SWEEP),
+    # a short zone n <= z, so a short root table, leaves a leftover that is
+    # not one prime to the one-prime path (b = 1281: 20^2 + b = 41^2, T = 42)
+    (SIEVE, "z = min(arith.isqrt(abs(b) // 3), x)", "z = min(arith.isqrt(abs(b) // 4), x)",
+     NAIVE),
+    # a table limit T that ignores z^2
+    (SIEVE, "arith.isqrt(z * z + abs(b)) + 1", "arith.isqrt(abs(b)) + 1", FIRST_HIT_T),
     # a new prime q recurs at q - n, in range exactly when q <= n + x
     (PRIMITIVE, "if 1 < v <= n + x:", "if 1 < v < n + x:", CRITERION_1),
     (PRIMITIVE, "if 1 < v <= n + x:", "if 1 < v <= x:", CRITERION_1),
-    (PRIMITIVE, "if q - n <= x:", "if q - n < x:", SWEEP),
+    (STATS, "if v - n <= x:", "if v - n < x:", NAIVE),
     # for even b, 2 divides the terms at even n, so its least root is 2
-    (PRIMITIVE, "roots = {2: b % 2}", "roots = {2: 1}", SWEEP),
-    # p^2 | P_n left undivided past the oracle zone
+    (SIEVE, "fallback = {2: b % 2}", "fallback = {2: 1}", SWEEP),
+    # p^2 | P_n left undivided past n = z
     (PRIMITIVE, "add(v, _hensel_levels(v, n, b, top), n + 1)",
      "add(v, _hensel_levels(v, n, b, top)[:2], n + 1)", CRITERION_1),
     # 2 and the primes of b are new at their least root; criterion 1
@@ -80,20 +85,25 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     # p | b treated as a lifted prime: its roots mod p^k multiply
     (SIEVE, "if p == 2 or b % p == 0:", "if p == 2:", CRITERION_10),
     (SIEVE, "r = (r - (r * r + b) * u) % pk", "r = (r + (r * r + b) * u) % pk", CRITERION_1),
-    (SIEVE, "(lo - 1 - r) // pk", "(lo - r) // pk", NAIVE),
-    (SIEVE, "add(p, levels, lo)", "add(p, levels, lo + 1)", CRITERION_10),
+    # a registered prime's hits counted from n + 1, not from its least root n
+    (STATS, "(n - 1 - r) // pk", "(n - r) // pk", NAIVE),
+    (SIEVE, "add(p, _hensel_levels(p, roots[0], b, top), lo)",
+     "add(p, _hensel_levels(p, roots[0], b, top), lo + 1)", CRITERION_10),
     # a kernel without its cap call builds a prime table or factors |b|
     # for a range past HI_CAP; the fail-fast test bans both
     (PRIMITIVE, "sieve._check_cap(x + 1)", "pass", FAIL_FAST),
+    (STATS, "sieve._check_cap(x + 1)", "pass", FAIL_FAST),
     (SIEVE, "_check_cap(hi)\n    b = spec.b\n    pairs", "b = spec.b\n    pairs", FAIL_FAST),
     (SIEVE, "_check_cap(hi)\n    b = spec.b\n    top", "b = spec.b\n    top", FAIL_FAST),
     # the dump's sign: n^2 + b < 0 up to and including isqrt(-b - 1) (b = -2, n = 1)
     (SIEVE, "n <= neg", "n < neg", "tests/test_sieve.py::test_sieve_range_hand_examples"),
     # the table primes >= 2x stay in S (b = 504, x = 2: 5 | 505)
-    (STATS, "big = {p: exps.pop(p) for p in [p for p in exps if p >= bound]}", "big = {}",
-     NAIVE),
-    # the cofactor primes in (L, 2x) join S' (b = 1, x = 10: 13 | 26)
-    (STATS, "if c >= bound:", "if c > 1:", "tests/test_stats.py::test_chebyshev_small_oracle"),
+    (STATS, "(big if p >= bound else exps)[p] = e", "exps[p] = e", NAIVE),
+    # a table prime that divides no term counted in s or s'
+    (STATS, "if e:\n            (big", "if True:\n            (big", NAIVE),
+    # a leftover prime below 2x that does not recur belongs in S (b = 1,
+    # x = 10: 17 at n = 4, whose other root 13 is past x)
+    (STATS, "elif v >= bound:", "elif v > 1:", "tests/test_stats.py::test_chebyshev_small_oracle"),
     # a table prime of S' counted once (b = 24, x = 2: 25 = 5^2)
     (STATS, "map(mul, big.values(), map(math.log, big))", "map(math.log, big)", NAIVE),
     # the t/u split at an exact Kx (b = 1, x = 128, K = 401/128: 401 is in
@@ -112,9 +122,6 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     # a cofactor 1 listed as a hit
     (STATS, "elif c > 1:\n                hits.append(",
      "elif c > 0:\n                hits.append(", "tests/test_stats.py::test_nx_hand_example"),
-    # a sieve limit that ignores b leaves composite cofactors
-    (STATS, "limit = arith.isqrt(x * x + abs(spec.b)) + 1", "limit = x + 1",
-     "tests/test_stats.py::test_chebyshev_sieve_limit"),
     # marks truncated, not rounded: the grid leaves the even spacing
     (CLI, "round(i * x / n)", "int(i * x / n)",
      "tests/test_cli.py::test_checkpoint_grid_rises_strictly_to_x"),

@@ -126,9 +126,9 @@ def test_criterion_3_density_bounds_at_1e6(rho_1e6):
 def test_criterion_3_rho_is_the_prime_count_of_Q_x(rho_1e6, cheb):
     # Every prime of Q_x is new at exactly one n <= x, so
     # rho_b(x) + E_b = s + s', with E_b the new primes beyond the first at
-    # each n.  rho comes from the first-hit kernel, s + s' from the slice
-    # kernel: 704537 = 74417 + 630120 at x = 10^6.
-    e_1 = 0  # b = 1 has no oracle zone, and P_1 = 2 at the one fallback root
+    # each n.  rho comes from the first-hit kernel, s + s' from chebyshev's
+    # first-hit scan: 704537 = 74417 + 630120 at x = 10^6.
+    e_1 = 0  # b = 1 has z = 0, and P_1 = 2 at the one fallback root
     rep = cheb[10 ** 6]
     assert rho_1e6[0].checkpoints[-1][1] + e_1 == rep.s + rep.s_prime == RHO_1E6
     # s alone against Euler's criterion over a schoolbook sieve to 2x
@@ -139,8 +139,8 @@ def test_criterion_3_rho_is_the_prime_count_of_Q_x(rho_1e6, cheb):
 def test_criterion_3_slow_identity_and_sampled_census_at_1e7(spec1):
     """The identity of criterion 3 at x = 10^7, rho_1(x) + E_1 = s + s', with
     rho from the census, s from Euler's criterion over a schoolbook sieve
-    and s' from the slice kernel; and the census checked n by n on 200
-    seeded n in [10^6, 10^7).  For b = 1 there is no oracle zone, so by
+    and s' from chebyshev's scan; and the census checked n by n on 200
+    seeded n in [10^6, 10^7).  For b = 1, z = 0 (no n has 3n^2 <= |b|), so by
     the first-hit lemma an n > 1 is in the census exactly when
     P+(n^2 + 1) <= 2n, which trial division decides."""
     x = 10 ** 7

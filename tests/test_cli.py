@@ -284,6 +284,18 @@ def test_exit_codes(capsys):
         assert cli.main([sub, "--help"]) == 0
 
 
+def test_memory_error_is_a_computation_error(monkeypatch, tmp_path, capsys):
+    # a report that runs out of memory exits 2 with one line, and writes no file
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setitem(cli._DISPATCH, "density", exhausted)
+    out = tmp_path / "x.csv"
+    for extra in ((), ("--out", str(out))):
+        assert run(capsys, "density", "--b", "1", "--x", "10", *extra) == (
+            2, "", "computation error: out of memory\n")
+    assert not out.exists()
+
+
 def test_out_errors(tmp_path, capsys):
     # an unwritable path is a usage error; a computation error writes no file
     for out in (tmp_path, tmp_path / "missing" / "x.csv"):

@@ -7,7 +7,7 @@ import pytest
 from quadfactor import arith, constants, primitive, sieve, stats, stormer
 from quadfactor.errors import CapExceededError
 
-from conftest import naive_is_prime, naive_new_primes, naive_p_plus
+from conftest import naive_factorize, naive_is_prime, naive_new_primes, naive_p_plus
 
 B_POOL = (1, 2, 3, 5, 7, -2, -3)
 
@@ -15,18 +15,6 @@ B_POOL = (1, 2, 3, 5, 7, -2, -3)
 def new_products(spec, x):
     """The first-hit kernel's new[i] for n = 1..x: the product of the primes new at n."""
     return [v for _, new in primitive._first_hits(spec, x) for v in new]
-
-
-def _agrees(new, v):
-    # v is the product of the primes new at n (in the oracle zone a prime
-    # may carry its exponent), so naive_prime_set(v) == new: every new
-    # prime divides v, and dividing them all out leaves 1
-    for p in new:
-        if v % p:
-            return False
-        while v % p == 0:
-            v //= p
-    return v == 1
 
 
 def test_definitional_hand_examples():
@@ -51,7 +39,7 @@ def test_small_n_statuses_match_oracle():
     spec = arith.validate_b(3)
     want = naive_new_primes(3, 3)
     got = new_products(spec, 3)
-    assert len(got) == 3 and all(map(_agrees, want, got)), got
+    assert got == [math.prod(new) for new in want], got
     assert want == [{2}, {7}, {3}]  # 4 = 2^2, 7, 12 = 2^2 * 3
 
 
@@ -69,22 +57,21 @@ def test_rho_hand_examples():
 
 
 def test_definitional_prime_sets_match_naive():
-    # cross-check the incremental scan against pure trial division; -1155
-    # puts n <= 19 in the kernel's oracle zone and has several new primes
-    # at some n <= |b|
+    # cross-check the incremental scan against pure trial division; at
+    # -1155 the kernel's root table covers n <= z = 19, and some n <= |b|
+    # have several new primes
     for b in (1, -3, -1155):
         got = list(primitive.classify_definitional(arith.validate_b(b), 300))
         assert got == [(n, bool(new)) for n, new in enumerate(naive_new_primes(b, 300), 1)], b
 
 
 def test_fast_agrees_with_definitional():
-    # the greatest-prime-factor criterion, exercised beyond |b|
+    # each new prime taken once at every n, n <= |b| included
     for b in B_POOL:
         spec = arith.validate_b(b)
         pairs = zip(naive_new_primes(b, 1200), new_products(spec, 1200), strict=True)
         for n, (new, v) in enumerate(pairs, 1):
-            if n > abs(b):
-                assert v == math.prod(new), (b, n)
+            assert v == math.prod(new), (b, n)
 
 
 def test_first_hit_lemma():
@@ -185,10 +172,13 @@ def _admissible(lo, hi):
 
 def test_kernel_matches_oracle_sweep(monkeypatch):
     # the new primes of every n, n <= |b| included, across segment lengths
-    # that split the range anywhere (1, a small prime, 97, the real one)
-    xs = (1, 2, 7, 50, 700)
+    # that split the range anywhere (1, a small prime, 97, the real one).
+    # At b = -75001 the root table runs to T = 317 for x >= 158 (z = 158 < x
+    # from 159 on) and to T = isqrt(x^2 + 75001) + 1 below, so at x = 100
+    # it holds primes above 2x.
     lengths = (1, 37, 97, sieve.SEGMENT)
-    for b in _admissible(-150, 150):
+    pool = [(b, (1, 2, 7, 50, 700)) for b in _admissible(-150, 150)]
+    for b, xs in pool + [(-75001, (100, 158, 159, 400))]:
         spec = arith.validate_b(b)
         oracle = naive_new_primes(b, xs[-1])
         for x in xs:
@@ -199,7 +189,7 @@ def test_kernel_matches_oracle_sweep(monkeypatch):
             for seg in lengths:
                 monkeypatch.setattr(sieve, "SEGMENT", seg)
                 got = new_products(spec, x)
-                assert len(got) == x and all(map(_agrees, want, got)), (b, x, seg)
+                assert got == [math.prod(new) for new in want], (b, x, seg)
                 marks = range(1, x + 1)
                 assert primitive.rho(spec, x, marks).checkpoints == rows
                 cen = primitive.non_primitive_census(spec, x)
@@ -207,36 +197,46 @@ def test_kernel_matches_oracle_sweep(monkeypatch):
 
 
 def test_kernel_needs_no_root_table(monkeypatch):
-    # the primes come from the scan itself: no prime list, no square roots,
-    # and |b| plus the oracle-zone leftovers are the only factorizations
+    # no root table past T: density and census build theirs to
+    # T = isqrt(z^2 + |b|) + 1, z = min(isqrt(|b| // 3), x), and meet every
+    # larger prime as a leftover, so |b| is their only factorization and no
+    # leftover goes to is_prime.  At b = -75001, x = 65537 the old limit
+    # L = isqrt(x^2 + |b|) + 1 would be 65538.
     x = 3000
+    cases = {(1, x): 2, (-2, x): 2, (-1155, x): 39, (2 ** 31, 100): 46342,
+             (-75001, 65537): 317}
     want = {}
     for b in (1, -2, -1155):
         non = [n for n, new in enumerate(naive_new_primes(b, x), 1) if not new]
         want[b] = (x - len(non), non)
 
-    def banned(*args, **kwargs):
-        raise AssertionError("root-table path called")
-    calls = []
-    factorize = arith.factorize
+    def banned(*args):
+        raise AssertionError("is_prime called")
+    limits, calls = [], []
+    sieve_primes = sieve.sieve_primes
+
+    def recorded(spec, limit):
+        limits.append(limit)
+        return sieve_primes(spec, limit)
 
     def counted(m):
         calls.append(m)
-        return factorize(m)
-    for name in ("sieve_primes", "sieve_range"):
-        monkeypatch.setattr(sieve, name, banned)
-    monkeypatch.setattr(arith, "_roots_mod_p", banned)
+        return naive_factorize(m)
+    monkeypatch.setattr(arith, "is_prime", banned)
     monkeypatch.setattr(arith, "factorize", counted)
-    for b, (count, non) in want.items():
+    monkeypatch.setattr(sieve, "sieve_primes", recorded)
+    for (b, x), T in cases.items():
         spec = arith.validate_b(b)
-        zone = min(x, math.isqrt(abs(b) // 3))
-        calls.clear()
-        assert primitive.rho(spec, x).checkpoints == [(x, count, count / x)]
-        assert len(calls) <= 1 + zone, b
-        calls.clear()
-        cen = primitive.non_primitive_census(spec, x)
-        assert (cen.non_primitive, cen.count) == (non, x - count)
-        assert len(calls) <= 1 + zone, b
+        got = []
+        for report in (primitive.rho, primitive.non_primitive_census):
+            limits.clear()
+            calls.clear()
+            got.append(report(spec, x))
+            assert (limits, calls) == ([T], [abs(b)]), (b, x, report.__name__)
+        if b in want:
+            count, non = want[b]
+            assert got[0].checkpoints == [(x, count, count / x)], b
+            assert (got[1].non_primitive, got[1].count) == (non, x - count), b
 
 
 def test_kernel_validates_before_any_segment(monkeypatch):

@@ -13,13 +13,14 @@ from conftest import (li, naive_chowla_todd_count, naive_factorize, naive_new_pr
                       naive_p_plus, naive_prime_flags, naive_prime_pi,
                       naive_split_prime_count)
 
-# p = 2 and p | b, p^2 | b, b < 0 with negative terms; -73600 puts every
-# n <= 156 in the sieve's oracle zone (3n^2 <= |b|).  chebyshev_report
-# sieves to L = isqrt(x^2 + |b|) + 1, so table primes >= 2x join S' when
-# L > 2x: for 504 and 2204 at x <= 5, for -73600 and 999999 at x <= 156;
-# all four have L < 2x at 600.  At b = 24, x = 2 the table prime 5 of
-# 25 = 5^2 puts an exponent 2 into S'.
-ORACLE_POOL = (1, -2, 2, 12, -72, 15, 24, -73600, 504, 2204, 999999)
+# p = 2 and p | b, p^2 | b, b < 0 with negative terms; at -73600 every
+# n <= 156 has 3n^2 <= |b|.  chebyshev_report's root table runs to
+# T = isqrt(z^2 + |b|) + 1, z = min(isqrt(|b| // 3), x), so table primes
+# >= 2x join S' when T > 2x: for 504 and 2204 at x <= 5, for -73600 and
+# 999999 at x <= 156; all four have T < 2x at 600.  At b = 24, x = 2 the
+# table prime 5 of 25 = 5^2 puts an exponent 2 into S'.  At b = 1281,
+# z = 20 and 20^2 + b = 41^2 with 41 < T = 42: the table must reach 41.
+ORACLE_POOL = (1, -2, 2, 12, -72, 15, 24, -73600, 504, 2204, 999999, 1281)
 # Chowla-Todd and Mertens marks; the prime sieve runs in segments of 2^18,
 # so the last three straddle a segment edge
 EDGE_MARKS = [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17, 2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1]
@@ -42,8 +43,8 @@ def test_chebyshev_small_oracle():
 def test_rho_plus_extra_new_primes_is_the_prime_count():
     # Every prime of Q_x is new at exactly one n <= x, so rho_b(x) counts
     # the primes of Q_x, s + s', less E_b, the new primes beyond the first
-    # at each n.  rho comes from the first-hit kernel, s + s' from the
-    # slice kernel, E_b from the naive oracle.
+    # at each n.  rho comes from the first-hit kernel, s + s' from
+    # chebyshev_report, E_b from the naive oracle.
     pool = (1, -2, 7, 5, 24, 1000, -75001)
     extra = {}
     for b in pool:
@@ -67,22 +68,33 @@ def test_chebyshev_identity_and_partition():
 
 
 def test_chebyshev_sieve_limit(monkeypatch):
-    # every term is below L^2, so a cofactor is one prime and nothing is
-    # left for is_prime or factorize, at any b
-    limits = []
-    sieve_primes = sieve.sieve_primes
-    monkeypatch.setattr(sieve, "sieve_primes",
-                        lambda spec, limit: limits.append(limit) or sieve_primes(spec, limit))
+    # the root table runs to T = isqrt(z^2 + |b|) + 1,
+    # z = min(isqrt(|b| // 3), x), not to L = isqrt(x^2 + |b|) + 1 (65538 at
+    # b = -75001, x = 65537): every larger prime is a leftover at its least
+    # root, so nothing goes to is_prime and |b| is the only factorization
+    cases = {(1, 3000): 2, (-2, 3000): 2, (-1155, 3000): 39, (2 ** 31, 100): 46342,
+             (-75001, 65537): 317}  # isqrt(100^2 + 2^31) + 1 = 46342 > 2x
 
     def banned(*args):
-        raise AssertionError("cofactor split by arith")
+        raise AssertionError("is_prime called")
+    limits, calls = [], []
+    sieve_primes = sieve.sieve_primes
 
-    with monkeypatch.context() as m:
-        m.setattr(arith, "is_prime", banned)
-        m.setattr(arith, "factorize", banned)
-        stats.chebyshev_report(arith.validate_b(1), 3000)
-        stats.chebyshev_report(arith.validate_b(2 ** 31), 100)
-    assert limits == [3001, 46342]  # isqrt(100^2 + 2^31) + 1 = 46342 > 2x
+    def recorded(spec, limit):
+        limits.append(limit)
+        return sieve_primes(spec, limit)
+
+    def counted(m):
+        calls.append(m)
+        return naive_factorize(m)
+    monkeypatch.setattr(arith, "is_prime", banned)
+    monkeypatch.setattr(arith, "factorize", counted)
+    monkeypatch.setattr(sieve, "sieve_primes", recorded)
+    for (b, x), T in cases.items():
+        limits.clear()
+        calls.clear()
+        stats.chebyshev_report(arith.validate_b(b), x)
+        assert (limits, calls) == ([T], [abs(b)]), (b, x)
 
 
 def test_chebyshev_preconditions():
@@ -141,12 +153,15 @@ def test_nx_against_direct_scan():
 
 
 def test_chebyshev_and_nx_match_naive_factorization(monkeypatch):
-    # both sides are math.fsum of the same float terms, so they are equal
+    # both sides are math.fsum of the same float terms, so they are equal.
+    # At b = -75001 chebyshev's root table runs to T = 317 once x >= 158
+    # (z = 158, and z < x from 159 on), and holds primes >= 2x at x = 100.
     lengths = (97, sieve.SEGMENT)
-    for b in ORACLE_POOL:
+    pool = [(b, (2, 5, 77, 156, 600)) for b in ORACLE_POOL]
+    for b, xs in pool + [(-75001, (100, 158, 159, 400))]:
         spec = arith.validate_b(b)
         fac = {n: naive_factorize(abs(n * n + b)) for n in range(1, 1200)}
-        for x in (2, 5, 77, 156, 600):
+        for x in xs:
             exps = {}
             for n in range(1, x + 1):
                 for p, e in fac[n]:
