@@ -216,10 +216,10 @@ def factorize(m: int) -> list:
     The primes of _MR_BASES are divided out, and what is left is split
     by _rho on a work list until every piece is prime: a piece below
     41^2 has no prime factor up to 37 left, so it is prime without a
-    test, and is_prime decides the rest.  It
-    factors |b| for the first-hit scans, the oracle-zone cofactors of the
-    sieve dump, the nx cofactors above the square of the sieve limit,
-    and P+ for p_plus.
+    test, and is_prime decides the rest.  It factors the oracle-zone
+    cofactors of the sieve dump (sieve._sieve_segment), m for p_plus, and
+    every term of primitive.classify_definitional; no other scan factors
+    anything.
     """
     if m < 1:
         raise OutOfDomainError(f"cannot factor {m}")

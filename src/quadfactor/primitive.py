@@ -11,15 +11,15 @@ n < p - n, so a new p exceeds 2n.  One self-sieving kernel, valid for
 every n (including n <= |b|), scans n = 1..x in ascending segments and
 divides out of |P_n| every prime whose least root lies below n: what is
 left at n is exactly the product of the primes new at n.  It starts
-from sieve._first_hit_setup: 2 and the primes of b (one factorization
-of |b|) are divided out of each of their hits in a loop, and the other
-primes up to T = isqrt(z^2 + |b|) + 1, z = min(isqrt(|b| // 3), x), are
-lifted by Hensel's lemma and divided by the scheduler of sieve from
-n = 1.  Every larger prime q is then the whole leftover at its least
-root n and registers its roots n and q - n, lifted the same way, from
-their first hits after n; a prime with q - n > x never recurs in range
-and is not registered.  The primes known before the scan are multiplied
-back at their least root, and nothing but |b| is factored.
+from sieve._first_hit_setup, one prime list up to T = isqrt(z^2 + |b|) + 1,
+z = min(isqrt(|b| // 3), x): 2 and the primes of b are divided out of
+each of their hits in a loop, and the other primes are lifted by
+Hensel's lemma and divided by the scheduler of sieve from n = 1.
+Every larger prime q is then the whole leftover at its least root n and
+registers its roots n and q - n, lifted the same way, from their first
+hits after n; a prime with q - n > x never recurs in range and is not
+registered.  The primes known before the scan are multiplied back at
+their least root, and nothing is factored.
 
 rho() counts the n whose product of new primes exceeds 1, and
 non_primitive_census() lists the others.  classify_definitional() is
@@ -33,7 +33,6 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from . import arith, sieve
 from .arith import SequenceSpec
 from .errors import PreconditionViolatedError
-from .sieve import _hensel_levels
 
 
 class PrimitiveStatus(NamedTuple):
@@ -67,16 +66,15 @@ def _first_hits(spec: SequenceSpec, x: int) -> Iterator[tuple]:
     """Stream (lo, new) per segment [lo, hi) of n = 1..x, ascending.
 
     The caller checks x >= 1; an x at or past sieve.HI_CAP is refused
-    before |b| is factored.  The segments have the fixed length
+    before any prime table.  The segments have the fixed length
     sieve.SEGMENT (the last one may be shorter); the output does not
     depend on that length.
 
     new[i] is the product of the primes new at n = lo + i, each taken
     once, so 1 exactly when P_n has no primitive divisor.
     """
-    sieve._check_cap(x + 1)
     b, size = spec.b, sieve.SEGMENT
-    top, fallback, table, add, divide = sieve._first_hit_setup(spec, x)
+    fallback, table, add, divide = sieve._first_hit_setup(spec, x)
     # (least root, p) for the primes known before the scan, last root first
     first = sorted([(r or p, p) for p, r in fallback.items()]
                    + [(levels[0][1], p) for p, levels in table], reverse=True)
@@ -88,7 +86,7 @@ def _first_hits(spec: SequenceSpec, x: int) -> Iterator[tuple]:
         sieve._strip_fallback(rem, lo, fallback)
         for n, v in enumerate(rem, lo):
             if 1 < v <= n + x:  # a new prime q with q - n <= x recurs in range
-                add(v, _hensel_levels(v, n, b, top), n + 1)
+                add(v, n, n + 1)
 
         while first and first[-1][0] < hi:
             n, p = first.pop()

@@ -22,25 +22,25 @@ so a test can patch it in); the output does not depend on the length.
 sieve_range streams one TermFactorization per n, dividing each hit of
 each root mod p in a loop; it serves only the raw `sieve` dump.
 
-The Hensel kernels, slice_range here (the cofactors of the nx
-histogram, no per-term record) and the first-hit scans of primitive and
-stats.chebyshev_report, divide prime powers instead.  A root mod an odd
-p not dividing b lifts by Hensel's lemma (_hensel_levels) to one root
-mod p^k for every p^k up to the largest |n^2 + b|; p^k divides n^2 + b
-exactly when n is congruent to one of these roots, so one division by p
-per hit of every (p^k, root) removes exactly the exponent of p.  One
-scheduler (_scheduler) places these divisions for all of them: a
-modulus below SEGMENT becomes one strided slice division per segment,
-and a larger one, which hits a segment at most once, waits in the
-bucket of the segment where it next hits (Oliveira e Silva, Herzog and
-Pardi, Math. Comp. 83, 2014).  For p = 2 and p | b the roots mod p^k
-can multiply, so those primes fall back to dividing each hit mod p in a
-loop (_divide_fallback, or _strip_fallback where no exponent is
-counted).  slice_range lifts every prime of its sieve_primes list up
-front.  A first-hit scan (_first_hit_setup) lifts only the primes up to
-T = isqrt(z^2 + |b|) + 1, z = min(isqrt(|b| // 3), x), and meets every
-larger prime as the leftover of its least root, where it registers the
-prime's levels from the next n.
+The Hensel kernels, slice_range here (the primes >= 2x of the nx
+histogram) and the first-hit scans of primitive and
+stats.chebyshev_report, divide prime powers instead and factor nothing.
+A root mod an odd p not dividing b lifts by Hensel's lemma
+(_hensel_levels) to one root mod p^k for every p^k up to the largest
+|n^2 + b|; p^k divides n^2 + b exactly when n is congruent to one of
+these roots, so one division by p per hit of every (p^k, root) removes
+exactly the exponent of p.  One scheduler (_scheduler) lifts each root
+and places these divisions: a modulus below SEGMENT becomes one strided
+slice division per segment, and a larger one, which hits a segment at
+most once, waits in the bucket of the segment where it next hits
+(Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014).  For p = 2
+and p | b the roots mod p^k can multiply, so those primes fall back to
+dividing each hit mod p in a loop (_divide_fallback, or _strip_fallback
+where no exponent is counted).  Each kernel sieves to the limit past
+which what is left of a term is 1 or one prime: slice_range to
+L = isqrt((hi - 1)^2 + |b|) + 1, a first-hit scan (_first_hit_setup) to
+T = isqrt(z^2 + |b|) + 1, z = min(isqrt(|b| // 3), x), meeting every
+larger prime as the leftover of its least root.
 """
 
 from itertools import accumulate
@@ -160,31 +160,35 @@ def _values(b: int, lo: int, hi: int) -> list:
     return vals
 
 
-def _scheduler(start: int, end: int) -> tuple:
+def _scheduler(b: int, start: int, end: int) -> tuple:
     """The division scheduler of the Hensel kernels over [start, end): (add, divide).
 
     A division (p^k, r, p) takes one factor p from the value at every n
     in range with n == r (mod p^k); the range is scanned in segments of
-    SEGMENT from start, in ascending order.  add(p, levels, n) registers
-    each (p^k, r) of levels from its first hit m >= n, dividing the hits
-    in the current segment at once; divide(rem, lo) applies every
-    registered division to the values rem of the segment at lo, which
-    becomes the current one (before the first call it is empty).
+    SEGMENT from start, in ascending order.  add(p, r, n) lifts a root r
+    mod p (_hensel_levels, to the largest |n^2 + b| in range), registers
+    each level from its first hit m >= n, dividing the hits in the
+    current segment at once, and returns the levels; divide(rem, lo)
+    applies every registered division to the values rem of the segment
+    at lo, which becomes the current one (before the first call it is
+    empty).
     """
     size = SEGMENT
+    top = (end - 1) ** 2 + abs(b)
     strided = []  # (p^k, r, p) with p^k below the segment length
     buckets = {}  # segment start -> [(next hit, p^k, p), ...]
     cur, cur_lo, cur_hi = [], start, start
 
-    def add(p, levels, n):
-        for pk, r in levels:
-            m = n + (r - n) % pk
+    def add(p, r, n):
+        levels = _hensel_levels(p, r, b, top)
+        for pk, rk in levels:
+            m = n + (rk - n) % pk
             if m >= end:
                 continue
             if pk < size:
                 if m < cur_hi:
                     cur[m - cur_lo::pk] = [v // p for v in cur[m - cur_lo::pk]]
-                strided.append((pk, r, p))
+                strided.append((pk, rk, p))
                 continue
             if m < cur_hi:  # pk >= size: at most one hit per segment
                 cur[m - cur_lo] //= p
@@ -192,6 +196,7 @@ def _scheduler(start: int, end: int) -> tuple:
                 if m >= end:
                     continue
             buckets.setdefault(m - (m - start) % size, []).append((m, pk, p))
+        return levels
 
     def divide(rem, lo):
         nonlocal cur, cur_lo, cur_hi
@@ -250,41 +255,42 @@ def _strip_fallback(rem: list, lo: int, fallback: dict) -> None:
             rem[i] = v
 
 
-def slice_range(spec: SequenceSpec, lo: int, hi: int, limit: int) -> Iterator[list]:
-    """Stream the cofactors of [lo, hi) above limit, one list per segment, ascending.
+def slice_range(spec: SequenceSpec, lo: int, hi: int) -> Iterator[list]:
+    """Stream the primes >= hi of each |n^2 + b|, n in [lo, hi), in lists, ascending.
 
-    The counterpart of sieve_range for a caller that needs only the
-    cofactors: every prime <= limit is divided out of |n^2 + b|, a
-    lifted prime by the scheduler and a fallback prime by its per-hit
-    loop (_strip_fallback), so what is left is a product of primes
-    above the limit.
+    Every prime up to L = isqrt((hi - 1)^2 + |b|) + 1 is divided out, so
+    what is left of a term is 1 or one prime above L >= hi: these come one
+    list per segment, after a first list of each lifted prime p >= hi at
+    its roots r in [lo, hi), the one n there with p | n^2 + b for each r.
     """
     _check_cap(hi)
     b = spec.b
-    top = (hi - 1) ** 2 + abs(b)  # no value in range exceeds this
-    add, divide = _scheduler(lo, hi)
-    fallback = {}
-    for p, roots in sieve_primes(spec, limit):
+    add, divide = _scheduler(b, lo, hi)
+    fallback, first = {}, []
+    for p, roots in sieve_primes(spec, arith.isqrt((hi - 1) ** 2 + abs(b)) + 1):
         if p == 2 or b % p == 0:
             fallback[p] = roots[0]
-        elif p <= top:  # p > top divides no value in range
-            add(p, _hensel_levels(p, roots[0], b, top), lo)
+        else:
+            add(p, roots[0], lo)
+            if p >= hi:
+                first += [p for r in roots if lo <= r < hi]
+    yield first
     for slo in range(lo, hi, SEGMENT):
         rem = _values(b, slo, min(slo + SEGMENT, hi))
         divide(rem, slo)
         _strip_fallback(rem, slo, fallback)
-        yield rem
+        yield [v for v in rem if v > 1]
 
 
 def _first_hit_setup(spec: SequenceSpec, x: int) -> tuple:
-    """What a first-hit scan of n = 1..x starts from: (top, fallback, table, add, divide).
+    """What a first-hit scan of n = 1..x starts from: (fallback, table, add, divide).
 
-    top = x^2 + |b| bounds every |n^2 + b| in range.  fallback maps 2
-    and the primes of b up to x, from one arith.factorize(|b|), to their
-    root mod p, for the per-hit loop (_divide_fallback or
-    _strip_fallback).  table lists (p, levels) for every other prime
-    p <= T = isqrt(z^2 + |b|) + 1 with a root, z = min(isqrt(|b| // 3), x):
-    levels are p's Hensel levels up to top, least root first, already
+    x >= HI_CAP is refused first.  One sieve_primes list runs to
+    T = isqrt(z^2 + |b|) + 1, z = min(isqrt(|b| // 3), x).  fallback maps
+    its 2 and primes of b to their root mod p, for the per-hit loop
+    (_divide_fallback or _strip_fallback), and so does the one prime
+    q <= x they may leave of |b| (T^2 > |b|), with the root 0.  table lists
+    (p, levels) for every other p: its Hensel levels, least root first,
     registered from n = 1 with the scheduler (add, divide) of [1, x].
 
     Once the scheduler and the fallback loop have divided, the leftover
@@ -292,18 +298,20 @@ def _first_hit_setup(spec: SequenceSpec, x: int) -> tuple:
     n: for n <= z because q > T and T^2 > |n^2 + b|, and for n > z because
     q > 2n and |n^2 + b| < 4n^2.  The scan registers q from n + 1 when its
     other root q - n is at most x; otherwise q divides no later term.  So
-    no scan factors anything but |b|.
+    no scan factors anything.
     """
+    _check_cap(x + 1)
     b = spec.b
-    top = x * x + abs(b)
     z = min(arith.isqrt(abs(b) // 3), x)
-    fallback = {2: b % 2}
-    fallback.update((p, 0) for p, _ in arith.factorize(abs(b)) if p <= x)
-    add, divide = _scheduler(1, x + 1)
-    table = []
+    add, divide = _scheduler(b, 1, x + 1)
+    fallback, table, m = {}, [], abs(b)
     for p, roots in sieve_primes(spec, arith.isqrt(z * z + abs(b)) + 1):
-        if p != 2 and b % p:
-            levels = _hensel_levels(p, roots[0], b, top)
-            add(p, levels, 1)
-            table.append((p, levels))
-    return top, fallback, table, add, divide
+        if p == 2 or b % p == 0:
+            fallback[p] = roots[0]
+            while m % p == 0:
+                m //= p
+        else:
+            table.append((p, add(p, roots[0], 1)))
+    if 1 < m <= x:
+        fallback[m] = 0
+    return fallback, table, add, divide

@@ -17,12 +17,11 @@ whose other root q - n is at most x is registered from n + 1 and joins
 S with its exponent, the hits of its Hensel levels in [n, x]; any other
 q divides no other term and joins S' (q >= 2x) or S with exponent 1.
 A table prime joins S or S' with the hits of its levels as exponent,
-and 2 and the primes of b are counted division by division.  Nothing
-but |b| is factored.
+and 2 and the primes of b are counted division by division.
 
-nx_histogram runs on sieve.slice_range, which yields per segment the
-cofactors of |n^2 + b| above a sieve limit.  It sieves to L = 2x and
-splits a cofactor into primes by arith only when it exceeds L^2.
+nx_histogram concatenates what sieve.slice_range yields over [x, 2x),
+sieved to L = isqrt((2x - 1)^2 + |b|) + 1 (2x once |b| < 4x - 1): the
+primes >= 2x of each term.  Neither report factors anything.
 
 Every float sum is one math.fsum, which is correctly rounded whatever
 the order of its terms (Shewchuk, Discrete Comput. Geom. 18, 1997).
@@ -45,7 +44,6 @@ from typing import Dict, List, NamedTuple, Tuple
 from . import arith, sieve
 from .arith import SequenceSpec
 from .errors import OutOfDomainError, PreconditionViolatedError, WindowOutOfRangeError
-from .sieve import _hensel_levels
 
 
 _WHEEL_30 = (1, 7, 11, 13, 17, 19, 23, 29)  # residues prime to 30
@@ -77,9 +75,8 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
         raise PreconditionViolatedError("K must be > 2")
     if K == math.inf:
         raise PreconditionViolatedError("K must be finite")
-    sieve._check_cap(x + 1)
     b, size, bound = spec.b, sieve.SEGMENT, 2 * x
-    top, fallback, table, add, divide = sieve._first_hit_setup(spec, x)
+    fallback, table, add, divide = sieve._first_hit_setup(spec, x)
 
     # A prime p >= 2x divides at most one term with n <= x, since two such
     # terms would need n1 + n2 = p.  So the S' primes need no merging: a
@@ -90,7 +87,7 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
     exps: Dict[int, int] = {}
     big: Dict[int, int] = {}
     # The exponent of a prime in prod |P_n| over [n0, x] is the number of
-    # hits of its levels (p^k, r) there, r > 0: (x - r) // p^k + 1 from n0 = 1.
+    # hits of its levels (p^k, r) there, every r >= n0: (x - r) // p^k + 1.
     for p, levels in table:
         e = sum((x - r) // pk + 1 for pk, r in levels)
         if e:
@@ -106,11 +103,9 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
             for n, v in enumerate(rem, lo):
                 if v > 1:  # the one prime new at n outside table and fallback
                     if v - n <= x:  # it recurs at v - n, and v < 2x
-                        levels = _hensel_levels(v, n, b, top)
-                        add(v, levels, n + 1)
-                        e = 0  # its hits in [n, x]
-                        for pk, r in levels:
-                            e += (x - r) // pk - (n - 1 - r) // pk
+                        e = 0  # its hits in [n, x]; each level's root is >= n
+                        for pk, r in add(v, n, n + 1):
+                            e += (x - r) // pk + 1
                         exps[v] = e
                     elif v >= bound:
                         sprime.append(v)
@@ -135,23 +130,15 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
 def nx_histogram(spec: SequenceSpec, x: int) -> NxHistogram:
     """Each prime p >= 2x once per n in [x, 2x) with p | n^2 + b, in ascending order.
 
-    Sieving to 2x leaves exactly those primes in the cofactors; each
-    term contributes at most one (two primes above 2x would multiply
-    past n^2 + b for any n < 2x once b < 4x - 1).  A prime p >= 2x is
-    listed at most twice, at its roots n and p - n: [x, 2x) is shorter than p.
+    sieve.slice_range yields exactly these, one entry per prime and term.
+    A prime p >= 2x is listed at most twice, at its roots n and p - n:
+    [x, 2x) is shorter than p.
     """
     if x < 2:
         raise PreconditionViolatedError("x must be >= 2")
-    limit = 2 * x
-    single = limit * limit  # a cofactor up to this is one prime
-    hits = array("q")  # each is below (2x)^2 + 2^31 < 2^63
-    for rem in sieve.slice_range(spec, x, 2 * x, limit):
-        for c in rem:
-            if c > single:
-                hits.extend(p for p, _ in arith.factorize(c))
-            elif c > 1:
-                hits.append(c)
-    hits = array("q", sorted(hits))  # sorted once the sieve's buckets are freed
+    # sorted once the sieve's buckets are freed, stored once the unsorted array is
+    hits = sorted(array("q", chain.from_iterable(sieve.slice_range(spec, x, 2 * x))))
+    hits = array("q", hits)  # each is below (2x)^2 + 2^31 < 2^63
     return NxHistogram(x, hits, math.fsum(map(math.log, hits)))
 
 

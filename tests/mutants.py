@@ -6,8 +6,10 @@ TREE (default: the tree holding this file) holds src/quadfactor and
 tests/.  For each mutant the script copies src/, tests/ and
 pyproject.toml to a temporary directory, replaces the exact old text by
 the new one and runs only the named test there.  The mutant is killed
-when that test fails.  The script prints one line per mutant and exits 1
-if any mutant survives, if its old text does not occur exactly once, or
+when that test fails; it is TIMEOUT, and counted as killed, when the test
+runs longer than SLOWDOWN times its time on the unmutated copy (a mutant
+can make a kernel loop forever).  The script prints one line per mutant
+and exits 1 if any mutant survives, if its old text does not occur exactly once, or
 if a named test fails on the unmutated copy.  Stdlib and pytest only;
 pytest does not collect it.
 
@@ -37,6 +39,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ARITH = "src/quadfactor/arith.py"
@@ -53,6 +56,7 @@ NAIVE = "tests/test_stats.py::test_chebyshev_and_nx_match_naive_factorization"
 SWEEP = "tests/test_primitive.py::test_kernel_matches_oracle_sweep"
 T_BOUNDARY = "tests/test_stats.py::test_chebyshev_t_at_an_exact_boundary_and_a_huge_K"
 VX_EDGES = "tests/test_stats.py::test_vx_window_edges"
+SLOWDOWN = 10  # a mutant's test past this many times its clean time is TIMEOUT
 
 MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     # residuosity by s - 2 squarings rejects residues whose a^q has order 2^(s-1)
@@ -74,27 +78,39 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     (PRIMITIVE, "if 1 < v <= n + x:", "if 1 < v < n + x:", CRITERION_1),
     (PRIMITIVE, "if 1 < v <= n + x:", "if 1 < v <= x:", CRITERION_1),
     (STATS, "if v - n <= x:", "if v - n < x:", NAIVE),
-    # for even b, 2 divides the terms at even n, so its least root is 2
-    (SIEVE, "fallback = {2: b % 2}", "fallback = {2: 1}", SWEEP),
+    # what the table primes of b leave of |b| is one prime q with its root
+    # 0, in range from x = q on (b = -75001 = -179 * 419, T = 317)
+    (SIEVE, "if 1 < m <= x:", "if 1 < m < x:", SWEEP),
+    (SIEVE, "fallback[m] = 0", "pass", SWEEP),
     # p^2 | P_n left undivided past n = z
-    (PRIMITIVE, "add(v, _hensel_levels(v, n, b, top), n + 1)",
-     "add(v, _hensel_levels(v, n, b, top)[:2], n + 1)", CRITERION_1),
+    (SIEVE, "levels = _hensel_levels(p, r, b, top)",
+     "levels = _hensel_levels(p, r, b, top)[:2]", CRITERION_1),
+    # a table prime registered from n = 2 is left undivided at n = 1; the
+    # leftover re-registers it, and a later value can be divided to 0, on
+    # which the fallback loop spins
+    (SIEVE, "table.append((p, add(p, roots[0], 1)))",
+     "table.append((p, add(p, roots[0], 2)))", SWEEP),
     # 2 and the primes of b are new at their least root; criterion 1
     # skips n <= |b|, where those roots lie, so only the sweep sees it
     (PRIMITIVE, "rem[n - lo] *= p", "pass", SWEEP),
     # p | b treated as a lifted prime: its roots mod p^k multiply
-    (SIEVE, "if p == 2 or b % p == 0:", "if p == 2:", CRITERION_10),
+    (SIEVE, "if p == 2 or b % p == 0:\n            fallback[p] = roots[0]\n        else",
+     "if p == 2:\n            fallback[p] = roots[0]\n        else", CRITERION_10),
+    (SIEVE, "if p == 2 or b % p == 0:\n            fallback[p] = roots[0]\n            while",
+     "if p == 2:\n            fallback[p] = roots[0]\n            while", SWEEP),
     (SIEVE, "r = (r - (r * r + b) * u) % pk", "r = (r + (r * r + b) * u) % pk", CRITERION_1),
-    # a registered prime's hits counted from n + 1, not from its least root n
-    (STATS, "(n - 1 - r) // pk", "(n - r) // pk", NAIVE),
-    (SIEVE, "add(p, _hensel_levels(p, roots[0], b, top), lo)",
-     "add(p, _hensel_levels(p, roots[0], b, top), lo + 1)", CRITERION_10),
-    # a kernel without its cap call builds a prime table or factors |b|
-    # for a range past HI_CAP; the fail-fast test bans both
-    (PRIMITIVE, "sieve._check_cap(x + 1)", "pass", FAIL_FAST),
-    (STATS, "sieve._check_cap(x + 1)", "pass", FAIL_FAST),
+    # a leftover prime's hits in [n, x] miss its least root n
+    (STATS, "e += (x - r) // pk + 1", "e += (x - r) // pk", NAIVE),
+    # nx's primes registered from the second n of its range
+    (SIEVE, "add(p, roots[0], lo)", "add(p, roots[0], lo + 1)", CRITERION_10),
+    # nx's table primes >= 2x listed at their roots past the range too
+    # (|b| near 2^31: roots on both sides of 2x)
+    (SIEVE, "lo <= r < hi", "lo <= r", NAIVE),
+    # a kernel without its cap call builds a prime table for a range past
+    # HI_CAP; the fail-fast test bans it
+    (SIEVE, "_check_cap(x + 1)", "pass", FAIL_FAST),
     (SIEVE, "_check_cap(hi)\n    b = spec.b\n    pairs", "b = spec.b\n    pairs", FAIL_FAST),
-    (SIEVE, "_check_cap(hi)\n    b = spec.b\n    top", "b = spec.b\n    top", FAIL_FAST),
+    (SIEVE, "_check_cap(hi)\n    b = spec.b\n    add", "b = spec.b\n    add", FAIL_FAST),
     # the dump's sign: n^2 + b < 0 up to and including isqrt(-b - 1) (b = -2, n = 1)
     (SIEVE, "n <= neg", "n < neg", "tests/test_sieve.py::test_sieve_range_hand_examples"),
     # the table primes >= 2x stay in S (b = 504, x = 2: 5 | 505)
@@ -113,15 +129,14 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     (STATS, "math.ceil(min(K * x, 2.0 ** 63))", "math.ceil(K * x)", T_BOUNDARY),
     # the nx hits left in sieve order: the CSV rows and the bisections
     # need them ascending
-    (STATS, 'array("q", sorted(hits))', 'array("q", hits)',
+    (STATS, "hits = sorted(array(", "hits = list(array(",
      "tests/test_stats.py::test_nx_against_direct_scan"),
     # the window (v, e*v] closed below, or open above (v = 20, e*v = 10^6)
     (STATS, "bisect_right(hist.hits, v)", "bisect_left(hist.hits, v)", VX_EDGES),
     (STATS, "bisect_right(hist.hits, math.e * v)", "bisect_left(hist.hits, math.e * v)",
      VX_EDGES),
-    # a cofactor 1 listed as a hit
-    (STATS, "elif c > 1:\n                hits.append(",
-     "elif c > 0:\n                hits.append(", "tests/test_stats.py::test_nx_hand_example"),
+    # a leftover 1 listed as a hit
+    (SIEVE, "if v > 1]", "if v > 0]", "tests/test_stats.py::test_nx_hand_example"),
     # marks truncated, not rounded: the grid leaves the even spacing
     (CLI, "round(i * x / n)", "int(i * x / n)",
      "tests/test_cli.py::test_checkpoint_grid_rises_strictly_to_x"),
@@ -130,12 +145,16 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
 ]
 
 
-def run_test(root: Path, test: str) -> int:
+def run_test(root: Path, test: str, timeout: float = None):
+    """pytest's exit code for test in root, or None once it runs past timeout seconds."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                           "-o", "addopts=", test],
-                          cwd=root, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                               "no:cacheprovider", "-o", "addopts=", test],
+                              cwd=root, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:  # the child is killed before this is raised
+        return None
 
 
 def copy_tree(tree: Path, dest: Path) -> None:
@@ -147,13 +166,16 @@ def copy_tree(tree: Path, dest: Path) -> None:
 
 def main(tree: Path) -> int:
     bad = 0
+    clean_s = {}  # test -> its time on the unmutated copy
     with tempfile.TemporaryDirectory() as tmp:
         clean = Path(tmp) / "clean"
         copy_tree(tree, clean)
         for test in sorted({m[3] for m in MUTANTS}):
+            start = time.monotonic()
             if run_test(clean, test) != 0:
                 print(f"ERROR   {test} fails on the unmutated tree")
                 bad += 1
+            clean_s[test] = time.monotonic() - start
     for i, (path, old, new, test) in enumerate(MUTANTS, 1):
         source = (tree / path).read_text()
         if source.count(old) != 1:
@@ -164,9 +186,10 @@ def main(tree: Path) -> int:
             root = Path(tmp)
             copy_tree(tree, root)
             (root / path).write_text(source.replace(old, new))
-            code = run_test(root, test)
-        verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"ERROR {code}"
-        bad += verdict != "killed"
+            code = run_test(root, test, SLOWDOWN * clean_s[test])
+        verdict = ("TIMEOUT" if code is None else "killed" if code == 1
+                   else "SURVIVED" if code == 0 else f"ERROR {code}")
+        bad += verdict not in ("killed", "TIMEOUT")
         print(f"{verdict:8}{i} {path}: {old!r} -> {new!r} by {test}", flush=True)
     print(f"{len(MUTANTS)} mutants, {bad} not killed")
     return 1 if bad else 0

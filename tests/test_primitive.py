@@ -7,7 +7,7 @@ import pytest
 from quadfactor import arith, constants, primitive, sieve, stats, stormer
 from quadfactor.errors import CapExceededError
 
-from conftest import naive_factorize, naive_is_prime, naive_new_primes, naive_p_plus
+from conftest import naive_is_prime, naive_new_primes, naive_p_plus
 
 B_POOL = (1, 2, 3, 5, 7, -2, -3)
 
@@ -173,12 +173,13 @@ def _admissible(lo, hi):
 def test_kernel_matches_oracle_sweep(monkeypatch):
     # the new primes of every n, n <= |b| included, across segment lengths
     # that split the range anywhere (1, a small prime, 97, the real one).
-    # At b = -75001 the root table runs to T = 317 for x >= 158 (z = 158 < x
-    # from 159 on) and to T = isqrt(x^2 + 75001) + 1 below, so at x = 100
-    # it holds primes above 2x.
+    # At b = -75001 = -179 * 419 the root table runs to T = 317 for x >= 158
+    # (z = 158 < x from 159 on) and to T = isqrt(x^2 + 75001) + 1 below, so
+    # at x = 100 it holds primes above 2x; 419 > T is what the table primes
+    # of b leave of |b|, a fallback prime from x = 419 on.
     lengths = (1, 37, 97, sieve.SEGMENT)
     pool = [(b, (1, 2, 7, 50, 700)) for b in _admissible(-150, 150)]
-    for b, xs in pool + [(-75001, (100, 158, 159, 400))]:
+    for b, xs in pool + [(-75001, (100, 158, 159, 400, 418, 419, 420))]:
         spec = arith.validate_b(b)
         oracle = naive_new_primes(b, xs[-1])
         for x in xs:
@@ -198,10 +199,10 @@ def test_kernel_matches_oracle_sweep(monkeypatch):
 
 def test_kernel_needs_no_root_table(monkeypatch):
     # no root table past T: density and census build theirs to
-    # T = isqrt(z^2 + |b|) + 1, z = min(isqrt(|b| // 3), x), and meet every
-    # larger prime as a leftover, so |b| is their only factorization and no
-    # leftover goes to is_prime.  At b = -75001, x = 65537 the old limit
-    # L = isqrt(x^2 + |b|) + 1 would be 65538.
+    # T = isqrt(z^2 + |b|) + 1, z = min(isqrt(|b| // 3), x), read the primes
+    # of b off it and meet every larger prime as a leftover, so nothing is
+    # factored and no leftover goes to is_prime.  At b = -75001, x = 65537
+    # the old limit L = isqrt(x^2 + |b|) + 1 would be 65538.
     x = 3000
     cases = {(1, x): 2, (-2, x): 2, (-1155, x): 39, (2 ** 31, 100): 46342,
              (-75001, 65537): 317}
@@ -211,28 +212,23 @@ def test_kernel_needs_no_root_table(monkeypatch):
         want[b] = (x - len(non), non)
 
     def banned(*args):
-        raise AssertionError("is_prime called")
-    limits, calls = [], []
+        raise AssertionError("is_prime or factorize called")
+    limits = []
     sieve_primes = sieve.sieve_primes
 
     def recorded(spec, limit):
         limits.append(limit)
         return sieve_primes(spec, limit)
-
-    def counted(m):
-        calls.append(m)
-        return naive_factorize(m)
     monkeypatch.setattr(arith, "is_prime", banned)
-    monkeypatch.setattr(arith, "factorize", counted)
+    monkeypatch.setattr(arith, "factorize", banned)
     monkeypatch.setattr(sieve, "sieve_primes", recorded)
     for (b, x), T in cases.items():
         spec = arith.validate_b(b)
         got = []
         for report in (primitive.rho, primitive.non_primitive_census):
             limits.clear()
-            calls.clear()
             got.append(report(spec, x))
-            assert (limits, calls) == ([T], [abs(b)]), (b, x, report.__name__)
+            assert limits == [T], (b, x, report.__name__)
         if b in want:
             count, non = want[b]
             assert got[0].checkpoints == [(x, count, count / x)], b

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from quadfactor import arith, cli, sieve
+from quadfactor import arith, cli, sieve, stats
 from quadfactor.errors import CapExceededError, OutOfDomainError
 
 from conftest import naive_factorize, naive_is_prime, naive_p_plus, reconstruct
@@ -135,14 +135,16 @@ def test_large_b_small_n_fallback_keeps_cofactor_prime():
 
 def test_kernels_refuse_the_cap_and_a_limit_below_2():
     # the range itself is the caller's to check; both kernels refuse an n
-    # past the cap, and sieve_primes a limit below 2
+    # past the cap, and sieve_primes a limit below 2.  slice_range sieves
+    # to about the last n of its range, so it is only run past the cap.
     spec = arith.validate_b(1)
-    for kernel in (sieve.sieve_range, sieve.slice_range):
-        with pytest.raises(CapExceededError, match="^n = 1000000000 exceeds the cap 999999999$"):
-            next(kernel(spec, 1, 10 ** 9 + 1, 2))
-        with pytest.raises(OutOfDomainError):
-            next(kernel(spec, 1, 10, 1))
-        assert next(kernel(spec, 1, 10 ** 9, 2))  # n = 999999999 is in
+    with pytest.raises(CapExceededError, match="^n = 1000000000 exceeds the cap 999999999$"):
+        next(sieve.sieve_range(spec, 1, 10 ** 9 + 1, 2))
+    with pytest.raises(OutOfDomainError):
+        next(sieve.sieve_range(spec, 1, 10, 1))
+    assert next(sieve.sieve_range(spec, 1, 10 ** 9, 2))  # n = 999999999 is in
+    with pytest.raises(CapExceededError, match="^n = 1000000001 exceeds the cap 999999999$"):
+        stats.nx_histogram(spec, 5 * 10 ** 8 + 1)  # [x, 2x) ends at n = 10^9 + 1
 
 
 def test_csv_dump_format(capsys):
@@ -212,17 +214,17 @@ def _fallback_hits(b, p, root, top):
 
 
 def _lifted_roots(spec, limit, top):
-    """(lifted, fallback) over the primes <= limit, split as slice_range splits them.
+    """(lifted, fallback) over the primes <= limit <= top.
 
-    lifted maps each odd p <= top not dividing b to its Hensel levels up
-    to top; fallback maps p = 2 and the p dividing b to their root mod p.
+    lifted maps each odd p not dividing b to its Hensel levels up to top;
+    fallback maps p = 2 and the p dividing b to their root mod p.
     """
     b = spec.b
     lifted, fallback = {}, {}
     for p, roots in sieve.sieve_primes(spec, limit):
         if p == 2 or b % p == 0:
             fallback[p] = roots[0]
-        elif p <= top:
+        else:
             lifted[p] = sieve._hensel_levels(p, roots[0], b, top)
     return lifted, fallback
 
@@ -271,17 +273,17 @@ def test_scheduler_divides_exactly_the_lifted_primes(monkeypatch, seg):
             least = {}
             for p, levels in lifted.items():
                 least.setdefault(min(levels[0][1], levels[1][1]), []).append(p)
-            add, divide = sieve._scheduler(start, end)
+            add, divide = sieve._scheduler(b, start, end)
             if not mid:
                 for p, levels in lifted.items():
-                    add(p, levels, start)
+                    assert add(p, levels[0][1], start) == levels, (b, p)
             for lo in range(start, end, seg):
                 hi = min(lo + seg, end)
                 rem = sieve._values(b, lo, hi)
                 divide(rem, lo)
                 for n in range(lo, hi) if mid else ():
                     for p in least.get(n, ()):
-                        add(p, lifted[p], n + 1)
+                        assert add(p, n, n + 1) == lifted[p], (b, p)
                         while rem[n - lo] % p == 0:
                             rem[n - lo] //= p
                 want = [_without(b, n, lifted) for n in range(lo, hi)]

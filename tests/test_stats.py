@@ -71,30 +71,30 @@ def test_chebyshev_sieve_limit(monkeypatch):
     # the root table runs to T = isqrt(z^2 + |b|) + 1,
     # z = min(isqrt(|b| // 3), x), not to L = isqrt(x^2 + |b|) + 1 (65538 at
     # b = -75001, x = 65537): every larger prime is a leftover at its least
-    # root, so nothing goes to is_prime and |b| is the only factorization
+    # root, so nothing goes to is_prime and nothing is factored.  nx sieves
+    # [x, 2x) to L = isqrt((2x - 1)^2 + |b|) + 1, which is 2x once
+    # |b| < 4x - 1, and factors nothing either.
     cases = {(1, 3000): 2, (-2, 3000): 2, (-1155, 3000): 39, (2 ** 31, 100): 46342,
              (-75001, 65537): 317}  # isqrt(100^2 + 2^31) + 1 = 46342 > 2x
+    nx_cases = {(1, 3000): 6000, (-2, 3000): 6000, (2 ** 31, 100): 46342,
+                (-75001, 400): 845}
 
     def banned(*args):
-        raise AssertionError("is_prime called")
-    limits, calls = [], []
+        raise AssertionError("is_prime or factorize called")
+    limits = []
     sieve_primes = sieve.sieve_primes
 
     def recorded(spec, limit):
         limits.append(limit)
         return sieve_primes(spec, limit)
-
-    def counted(m):
-        calls.append(m)
-        return naive_factorize(m)
     monkeypatch.setattr(arith, "is_prime", banned)
-    monkeypatch.setattr(arith, "factorize", counted)
+    monkeypatch.setattr(arith, "factorize", banned)
     monkeypatch.setattr(sieve, "sieve_primes", recorded)
-    for (b, x), T in cases.items():
-        limits.clear()
-        calls.clear()
-        stats.chebyshev_report(arith.validate_b(b), x)
-        assert (limits, calls) == ([T], [abs(b)]), (b, x)
+    for report, table in ((stats.chebyshev_report, cases), (stats.nx_histogram, nx_cases)):
+        for (b, x), T in table.items():
+            limits.clear()
+            report(arith.validate_b(b), x)
+            assert limits == [T], (b, x, report.__name__)
 
 
 def test_chebyshev_preconditions():
@@ -154,13 +154,16 @@ def test_nx_against_direct_scan():
 
 def test_chebyshev_and_nx_match_naive_factorization(monkeypatch):
     # both sides are math.fsum of the same float terms, so they are equal.
-    # At b = -75001 chebyshev's root table runs to T = 317 once x >= 158
-    # (z = 158, and z < x from 159 on), and holds primes >= 2x at x = 100.
+    # At b = -75001 = -179 * 419 chebyshev's root table runs to T = 317 once
+    # x >= 158 (z = 158, and z < x from 159 on), and holds primes >= 2x at
+    # x = 100; 419 > T is a fallback prime from x = 419 on.  At |b| near
+    # 2^31 nx's table primes above 2x have roots on both sides of 2x.
     lengths = (97, sieve.SEGMENT)
     pool = [(b, (2, 5, 77, 156, 600)) for b in ORACLE_POOL]
-    for b, xs in pool + [(-75001, (100, 158, 159, 400))]:
+    for b, xs in pool + [(-75001, (100, 158, 159, 400, 418, 419, 420)),
+                         (2 ** 31, (2, 3, 100)), (-(2 ** 31 - 1), (2, 3, 100))]:
         spec = arith.validate_b(b)
-        fac = {n: naive_factorize(abs(n * n + b)) for n in range(1, 1200)}
+        fac = {n: naive_factorize(abs(n * n + b)) for n in range(1, 2 * xs[-1])}
         for x in xs:
             exps = {}
             for n in range(1, x + 1):
