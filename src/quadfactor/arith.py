@@ -216,9 +216,8 @@ def factorize(m: int) -> list:
     The primes of _MR_BASES are divided out, and what is left is split
     by _rho on a work list until every piece is prime: a piece below
     41^2 has no prime factor up to 37 left, so it is prime without a
-    test, and is_prime decides the rest.  It factors the oracle-zone
-    cofactors of the sieve dump (sieve._sieve_segment), m for p_plus, and
-    every term of primitive.classify_definitional; no other scan factors
+    test, and is_prime decides the rest.  It factors m for p_plus and
+    every term of primitive.classify_definitional; no scan factors
     anything.
     """
     if m < 1:

@@ -246,7 +246,7 @@ def _cmd_sieve(args) -> str:
     if args.x < 1:
         raise PreconditionViolatedError("x must be >= 1")
     return _csv(([tf.n, tf.sign, " ".join(f"{p}^{e}" for p, e in tf.factors), tf.cofactor]
-                 for tf in sieve.sieve_range(spec, 1, args.x + 1, 2 * (args.x + 1))),
+                 for tf in sieve.sieve_range(spec, 1, args.x + 1)),
                 ["n", "sign", "factors", "cofactor"])
 
 

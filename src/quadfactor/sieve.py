@@ -1,30 +1,25 @@
 """Segmented factor sieve over the values n^2 + b.
 
-Fully factors every |n^2 + b| for n in [lo, hi) using only the primes up
-to a limit that the caller passes.  For each sieve prime p the hit
-indices are the n == r (mod p) for the roots r of n^2 + b mod p; at each
-hit p is divided out repeatedly, so exponents are exact even at ramified
-primes.  Whatever survives the divisions is the cofactor, a product of
-primes above the limit.
-
-The `sieve` dump (cli) scans n = 1..x with the limit 2(x + 1), so past
-the oracle zone, 3n^2 > |b|, a cofactor is 1 or a single prime greater
-than 2n: two factors above the limit would multiply past n^2 + b.  In
-the zone arith.factorize splits the cofactors of the handful of smaller
-n, so every term of the dump is fully factored.
+sieve_range, the raw `sieve` dump (cli), fully factors every |n^2 + b|
+for n in [lo, hi).  Each sieve prime p hits the n == r (mod p) for the
+roots r of n^2 + b mod p and is divided out in a loop at each hit, so
+exponents are exact even at ramified primes.  It sieves the primes up to
+2hi, so past the oracle zone, 3n^2 > |b|, the cofactor left is 1 or one
+prime greater than 2n: two factors above 2hi would multiply past
+n^2 + b.  In the zone, n <= z = min(isqrt(|b| // 3), hi - 1), it also
+sieves each prime in (2hi, T], T = isqrt(z^2 + |b|) + 1, at its roots
+r <= z, the one n each can hit.  A zone term is then left with 1 or one
+prime above T (T^2 > |n^2 + b|), which joins its factors.
 
 The kernels here take [lo, hi) from the caller, which checks
 1 <= lo < hi, and the first-hit scans n = 1..x; each refuses an n past
-HI_CAP (_check_cap) before any prime table or factorization.  They scan
-in ascending segments of the one fixed length SEGMENT (read at run time,
-so a test can patch it in); the output does not depend on the length.
-
-sieve_range streams one TermFactorization per n, dividing each hit of
-each root mod p in a loop; it serves only the raw `sieve` dump.
+HI_CAP (_check_cap) before any prime table is built.  They scan in
+ascending segments of the one fixed length SEGMENT (read at run time, so
+a test can patch it in); the output does not depend on the length.
 
 The Hensel kernels, slice_range here (the primes >= 2x of the nx
 histogram) and the first-hit scans of primitive and
-stats.chebyshev_report, divide prime powers instead and factor nothing.
+stats.chebyshev_report, divide prime powers instead.
 A root mod an odd p not dividing b lifts by Hensel's lemma
 (_hensel_levels) to one root mod p^k for every p^k up to the largest
 |n^2 + b|; p^k divides n^2 + b exactly when n is congruent to one of
@@ -87,12 +82,12 @@ def sieve_primes(spec: SequenceSpec, limit: int) -> list:
     return out
 
 
-def _sieve_segment(b: int, lo: int, hi: int, pairs: list, oracle_cut: int) -> list:
+def _sieve_segment(b: int, lo: int, hi: int, pairs: list, z: int) -> list:
     """Factor all terms for n in [lo, hi); pure function of its arguments.
 
-    oracle_cut is the largest n for which 3n^2 <= |b|; at or below it a
-    prime cofactor is not forced, so the cofactors of those terms are
-    factored by arith.factorize.
+    pairs lists (p, r) for the roots r mod p sieved here.  At n <= z they
+    leave 1 or one prime above every sieve prime, which moves from the
+    cofactor into the factors as (q, 1).
     """
     length = hi - lo
     vals = _values(b, lo, hi)
@@ -111,21 +106,24 @@ def _sieve_segment(b: int, lo: int, hi: int, pairs: list, oracle_cut: int) -> li
             facs[i].append((p, e))
             i += p
 
-    for i in range(min(length, oracle_cut + 1 - lo)):
-        facs[i] += arith.factorize(vals[i])  # primes above every sieve prime
-        vals[i] = 1
+    for i in range(min(length, z + 1 - lo)):
+        if vals[i] > 1:
+            facs[i].append((vals[i], 1))
+            vals[i] = 1
     return [TermFactorization(n, -1 if n <= neg else 1, tuple(fs), c)
             for n, fs, c in zip(range(lo, hi), facs, vals)]
 
 
-def sieve_range(spec: SequenceSpec, lo: int, hi: int, limit: int) -> Iterator[TermFactorization]:
+def sieve_range(spec: SequenceSpec, lo: int, hi: int) -> Iterator[TermFactorization]:
     """Stream one TermFactorization per n in [lo, hi), ascending, segment by segment."""
     _check_cap(hi)
     b = spec.b
-    pairs = [(rs.p, r) for rs in sieve_primes(spec, limit) for r in rs.roots]
-    oracle_cut = arith.isqrt(abs(b) // 3)
+    limit = 2 * hi
+    z = min(arith.isqrt(abs(b) // 3), hi - 1)
+    pairs = [(p, r) for p, roots in sieve_primes(spec, max(limit, arith.isqrt(z * z + abs(b)) + 1))
+             for r in roots if r <= z or p <= limit]
     for slo in range(lo, hi, SEGMENT):
-        yield from _sieve_segment(b, slo, min(slo + SEGMENT, hi), pairs, oracle_cut)
+        yield from _sieve_segment(b, slo, min(slo + SEGMENT, hi), pairs, z)
 
 
 def _hensel_levels(p: int, r: int, b: int, top: int) -> list:

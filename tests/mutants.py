@@ -20,10 +20,6 @@ Equivalent mutants, left out because they change no output:
 - `v >= bound` -> `v > bound` in chebyshev_report: 2x is never prime for
   x >= 2, so no leftover equals 2x.
 - `p >= bound` -> `p > bound` in chebyshev_report, for the same reason.
-- `isqrt(z * z + abs(b)) + 1` -> `isqrt(z * z + abs(b))` in
-  sieve._first_hit_setup: two primes above isqrt(z^2 + |b|) already
-  multiply past z^2 + |b|, so a leftover is still one prime.  Only the
-  table limit pinned by FIRST_HIT_T sees it.
 - `s + pk < length` -> `<=` in sieve._scheduler's divide: at equality
   the slice holds one element, and both branches divide it once.
 - `isqrt((X - 1) // 4)` -> `isqrt(X // 4)` in stats._chowla_todd_counts:
@@ -52,6 +48,7 @@ CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_fast_definitional_equi
 CRITERION_10 = "tests/test_acceptance.py::test_criterion_10_property_suites"
 FAIL_FAST = "tests/test_primitive.py::test_kernel_validates_before_any_segment"
 FIRST_HIT_T = "tests/test_primitive.py::test_kernel_needs_no_root_table"
+DUMP_ZONE = "tests/test_sieve.py::test_dump_factors_the_zone_by_sieving_alone"
 NAIVE = "tests/test_stats.py::test_chebyshev_and_nx_match_naive_factorization"
 SWEEP = "tests/test_primitive.py::test_kernel_matches_oracle_sweep"
 T_BOUNDARY = "tests/test_stats.py::test_chebyshev_t_at_an_exact_boundary_and_a_huge_K"
@@ -73,7 +70,9 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     (SIEVE, "z = min(arith.isqrt(abs(b) // 3), x)", "z = min(arith.isqrt(abs(b) // 4), x)",
      NAIVE),
     # a table limit T that ignores z^2
-    (SIEVE, "arith.isqrt(z * z + abs(b)) + 1", "arith.isqrt(abs(b)) + 1", FIRST_HIT_T),
+    (SIEVE, "spec, arith.isqrt(z * z + abs(b)) + 1", "spec, arith.isqrt(abs(b)) + 1", FIRST_HIT_T),
+    # T without its + 1: at |b| <= 2, z = 0 and the limit 1 is refused
+    (SIEVE, "spec, arith.isqrt(z * z + abs(b)) + 1", "spec, arith.isqrt(z * z + abs(b))", SWEEP),
     # a new prime q recurs at q - n, in range exactly when q <= n + x
     (PRIMITIVE, "if 1 < v <= n + x:", "if 1 < v < n + x:", CRITERION_1),
     (PRIMITIVE, "if 1 < v <= n + x:", "if 1 < v <= x:", CRITERION_1),
@@ -109,8 +108,14 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     # a kernel without its cap call builds a prime table for a range past
     # HI_CAP; the fail-fast test bans it
     (SIEVE, "_check_cap(x + 1)", "pass", FAIL_FAST),
-    (SIEVE, "_check_cap(hi)\n    b = spec.b\n    pairs", "b = spec.b\n    pairs", FAIL_FAST),
+    (SIEVE, "_check_cap(hi)\n    b = spec.b\n    limit", "b = spec.b\n    limit", FAIL_FAST),
     (SIEVE, "_check_cap(hi)\n    b = spec.b\n    add", "b = spec.b\n    add", FAIL_FAST),
+    # the dump's primes in (2(x + 1), T] left out, or left out at their
+    # root z, leave two primes in a zone row (b = 10^9, x = 49: 5573 *
+    # 179437); the row z keeping its leftover as its cofactor
+    (SIEVE, "max(limit, arith.isqrt(z * z + abs(b)) + 1)", "limit", DUMP_ZONE),
+    (SIEVE, "if r <= z or", "if r < z or", DUMP_ZONE),
+    (SIEVE, "z + 1 - lo", "z - lo", DUMP_ZONE),
     # the dump's sign: n^2 + b < 0 up to and including isqrt(-b - 1) (b = -2, n = 1)
     (SIEVE, "n <= neg", "n < neg", "tests/test_sieve.py::test_sieve_range_hand_examples"),
     # the table primes >= 2x stay in S (b = 504, x = 2: 5 | 505)

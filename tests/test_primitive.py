@@ -247,6 +247,6 @@ def test_kernel_validates_before_any_segment(monkeypatch):
                    lambda: primitive.non_primitive_census(spec, cap),
                    lambda: stats.chebyshev_report(spec, cap),
                    lambda: stats.nx_histogram(spec, cap // 2 + 1),
-                   lambda: list(sieve.sieve_range(spec, 1, cap + 1, 2))):
+                   lambda: list(sieve.sieve_range(spec, 1, cap + 1))):
         with pytest.raises(CapExceededError):
             report()

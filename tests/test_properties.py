@@ -38,7 +38,7 @@ def run_sieve_reconstruction(seed=SEED) -> int:
         hi = lo + 256
         spec = arith.validate_b(b)
         with mock.patch.object(sieve, "SEGMENT", rng.choice((7, 64, 256))):
-            terms = list(sieve.sieve_range(spec, lo, hi, 2 * hi))
+            terms = list(sieve.sieve_range(spec, lo, hi))
         for tf in terms:
             assert reconstruct(tf) == tf.n * tf.n + b, (b, tf.n)
             assert tf.factors == tuple(sorted(tf.factors))

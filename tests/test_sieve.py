@@ -14,19 +14,19 @@ B_POOL = (1, 2, 3, 5, 7, -2, -3)
 LIFT_POOL = (1, -2, 12, -72, 45, 2 ** 10 * 3, -1155)
 
 
-def _run(b, lo, hi, limit):
-    return list(sieve.sieve_range(arith.validate_b(b), lo, hi, limit))
+def _run(b, lo, hi):
+    return list(sieve.sieve_range(arith.validate_b(b), lo, hi))
 
 
 def _dump(b, x):
-    """The `sieve` dump's terms: n = 1..x with the primes up to 2(x + 1)."""
-    return _run(b, 1, x + 1, 2 * (x + 1))
+    """The `sieve` dump's terms: n = 1..x."""
+    return _run(b, 1, x + 1)
 
 
 def _run_at(seg, b, lo, hi):
-    """_run to the limit 2 hi with the segment length patched to seg."""
+    """_run with the segment length patched to seg."""
     with mock.patch.object(sieve, "SEGMENT", seg):
-        return _run(b, lo, hi, 2 * hi)
+        return _run(b, lo, hi)
 
 
 def test_sieve_primes_examples():
@@ -54,12 +54,12 @@ def test_sieve_primes_are_the_nonempty_root_sets(monkeypatch):
 
 
 def test_sieve_range_hand_examples():
-    rows = {tf.n: tf for tf in _run(1, 1, 11, 22)}
+    rows = {tf.n: tf for tf in _run(1, 1, 11)}
     assert rows[7].factors == ((2, 1), (5, 2)) and rows[7].cofactor == 1
     assert rows[10].factors == () and rows[10].cofactor == 101
     assert rows[5].factors == ((2, 1), (13, 1)) and rows[5].cofactor == 1
 
-    only = _run(1, 1, 2, 2)
+    only = _run(1, 1, 2)
     assert only[0].factors == ((2, 1),) and only[0].cofactor == 1
 
     unit = _dump(-2, 1)[0]
@@ -111,38 +111,50 @@ def test_cofactor_prime_when_limit_covers_range():
             assert p <= 2 * (10 ** 5 + 1)
 
 
-def test_small_prime_limit_leaves_composite_leftovers():
-    # with a smoothness-style limit the cofactor is only limit-rough
-    rows = {tf.n: tf for tf in _run(1, 1, 40, 13)}
-    assert rows[38].cofactor == 289  # 17^2 survives a limit of 13
-    assert reconstruct(rows[38]) == 38 * 38 + 1
-
-
-def test_large_b_small_n_fallback_keeps_cofactor_prime():
-    # the oracle zone 3n^2 <= |b| is fully factored whatever the prime
-    # limit; past it a limit of 13 leaves 13-rough cofactors
-    for b, hi, limit in ((10 ** 9, 50, 100), (-(10 ** 9 + 7), 50, 100), (-75001, 201, 13)):
-        cut = math.isqrt(abs(b) // 3)
-        for tf in _run(b, 1, hi, limit):
-            assert reconstruct(tf) == tf.n * tf.n + b
-            if tf.n <= cut:
-                assert tf.factors == tuple(naive_factorize(abs(tf.n * tf.n + b)))
-                assert tf.cofactor == 1
+def test_dump_factors_the_zone_by_sieving_alone(monkeypatch):
+    # The dump sieves to 2(x + 1), and at n <= z = min(isqrt(|b| // 3), x)
+    # also the primes in (2(x + 1), T] at their roots r <= z; what that
+    # leaves of a zone row is one prime above T, moved into its factors.
+    # Rows past z keep a cofactor 1 or one prime above 2(x + 1).  At
+    # x = 49 and (-75001, 100) (T = 292) those primes hit zone rows, and
+    # rows z = 49 at 10^9 (5573 * 179437) and z = 100 at -(2^31 - 1)
+    # (271 * 26681) hold two primes above 2(x + 1).  Zone rows are checked
+    # by trial division only at n <= 50 and within 20 of z.
+    def banned(*args):
+        raise AssertionError("is_prime or factorize called")
+    cases = ((10 ** 9, 49), (10 ** 9, 18277), (-(10 ** 9 + 7), 49), (-(10 ** 9 + 7), 18277),
+             (-75001, 100), (-75001, 200), (2 ** 31, 26774), (-(2 ** 31 - 1), 100),
+             (-(2 ** 31 - 1), 26774))
+    for b, x in cases:
+        with monkeypatch.context() as m:
+            m.setattr(arith, "factorize", banned)
+            m.setattr(arith, "is_prime", banned)
+            rows = _dump(b, x)
+        z = min(math.isqrt(abs(b) // 3), x)
+        for tf in rows:
+            assert reconstruct(tf) == tf.n * tf.n + b, (b, x, tf.n)
+            if tf.n > z:
+                assert all(p <= 2 * (x + 1) for p, _ in tf.factors), (b, x, tf.n)
+                c = tf.cofactor
+                assert c == 1 or c > 2 * (x + 1) and naive_is_prime(c), (b, x, tf.n)
             else:
-                assert all(p <= 13 for p, _ in tf.factors)
-                assert all(q > 13 for q, _ in naive_factorize(tf.cofactor))
+                assert tf.cofactor == 1, (b, x, tf.n)
+                if tf.n <= 50 or z - tf.n <= 20:
+                    want = tuple(naive_factorize(abs(tf.n * tf.n + b)))
+                    assert tf.factors == want, (b, x, tf.n)
 
 
 def test_kernels_refuse_the_cap_and_a_limit_below_2():
     # the range itself is the caller's to check; both kernels refuse an n
-    # past the cap, and sieve_primes a limit below 2.  slice_range sieves
-    # to about the last n of its range, so it is only run past the cap.
+    # past the cap, and sieve_primes a limit below 2.  sieve_range sieves
+    # to twice the last n of its range and slice_range to about that n, so
+    # both are only run past the cap, and the last n in on _check_cap.
     spec = arith.validate_b(1)
     with pytest.raises(CapExceededError, match="^n = 1000000000 exceeds the cap 999999999$"):
-        next(sieve.sieve_range(spec, 1, 10 ** 9 + 1, 2))
+        next(sieve.sieve_range(spec, 1, 10 ** 9 + 1))
     with pytest.raises(OutOfDomainError):
-        next(sieve.sieve_range(spec, 1, 10, 1))
-    assert next(sieve.sieve_range(spec, 1, 10 ** 9, 2))  # n = 999999999 is in
+        sieve.sieve_primes(spec, 1)
+    sieve._check_cap(10 ** 9)  # n = 999999999 is in
     with pytest.raises(CapExceededError, match="^n = 1000000001 exceeds the cap 999999999$"):
         stats.nx_histogram(spec, 5 * 10 ** 8 + 1)  # [x, 2x) ends at n = 10^9 + 1
 

@@ -114,7 +114,7 @@ def test_sprime_primes_are_distinct_per_range():
     spec = arith.validate_b(1)
     x = 500
     seen = set()
-    for tf in sieve.sieve_range(spec, 1, x + 1, 2 * x):
+    for tf in sieve.sieve_range(spec, 1, x + 1):
         if tf.cofactor > 1:
             assert tf.cofactor not in seen
             seen.add(tf.cofactor)
