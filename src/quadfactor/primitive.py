@@ -12,14 +12,13 @@ every n (including n <= |b|), scans n = 1..x in ascending segments and
 divides out of |P_n| every prime whose least root lies below n: what is
 left at n is exactly the product of the primes new at n.  It starts
 from sieve._first_hit_setup, one prime list up to T = isqrt(z^2 + |b|) + 1,
-z = min(isqrt(|b| // 3), x): 2 and the primes of b are divided out of
-each of their hits in a loop, and the other primes are lifted by
-Hensel's lemma and divided by the scheduler of sieve from n = 1.
-Every larger prime q is then the whole leftover at its least root n and
-registers its roots n and q - n, lifted the same way, from their first
-hits after n; a prime with q - n > x never recurs in range and is not
-registered.  The primes known before the scan are multiplied back at
-their least root, and nothing is factored.
+z = min(isqrt(|b| // 3), x), each prime split into the residue classes
+of its powers and divided by the scheduler of sieve from n = 1.  Every
+larger prime q is then the whole leftover at its least root n and
+registers its classes the same way from their first hits after n; a
+prime with q - n > x never recurs in range and is not registered.  The
+primes known before the scan are multiplied back at their least root,
+and nothing is factored.
 
 rho() counts the n whose product of new primes exceeds 1, and
 non_primitive_census() lists the others.  classify_definitional() is
@@ -74,16 +73,14 @@ def _first_hits(spec: SequenceSpec, x: int) -> Iterator[tuple]:
     once, so 1 exactly when P_n has no primitive divisor.
     """
     b, size = spec.b, sieve.SEGMENT
-    fallback, table, add, divide = sieve._first_hit_setup(spec, x)
+    table, add, divide = sieve._first_hit_setup(spec, x)
     # (least root, p) for the primes known before the scan, last root first
-    first = sorted([(r or p, p) for p, r in fallback.items()]
-                   + [(levels[0][1], p) for p, levels in table], reverse=True)
+    first = sorted([(levels[0][1], p) for p, levels in table], reverse=True)
 
     for lo in range(1, x + 1, size):
         hi = min(lo + size, x + 1)
         rem = sieve._values(b, lo, hi)
         divide(rem, lo)
-        sieve._strip_fallback(rem, lo, fallback)
         for n, v in enumerate(rem, lo):
             if 1 < v <= n + x:  # a new prime q with q - n <= x recurs in range
                 add(v, n, n + 1)

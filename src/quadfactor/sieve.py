@@ -19,20 +19,18 @@ a test can patch it in); the output does not depend on the length.
 
 The Hensel kernels, slice_range here (the primes >= 2x of the nx
 histogram) and the first-hit scans of primitive and
-stats.chebyshev_report, divide prime powers instead.
-A root mod an odd p not dividing b lifts by Hensel's lemma
-(_hensel_levels) to one root mod p^k for every p^k up to the largest
-|n^2 + b|; p^k divides n^2 + b exactly when n is congruent to one of
-these roots, so one division by p per hit of every (p^k, root) removes
-exactly the exponent of p.  One scheduler (_scheduler) lifts each root
-and places these divisions: a modulus below SEGMENT becomes one strided
-slice division per segment, and a larger one, which hits a segment at
-most once, waits in the bucket of the segment where it next hits
-(Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014).  For p = 2
-and p | b the roots mod p^k can multiply, so those primes fall back to
-dividing each hit mod p in a loop (_divide_fallback, or _strip_fallback
-where no exponent is counted).  Each kernel sieves to the limit past
-which what is left of a term is 1 or one prime: slice_range to
+stats.chebyshev_report, divide prime powers instead.  For every prime p
+and every p^k up to the largest |n^2 + b|, the n with p^k | n^2 + b
+form one or two residue classes n == c (mod m), m | p^k
+(_hensel_levels: Hensel's lemma for an odd p not dividing b, a scaling
+by p for p | b, 2-adic lifting for p = 2), so one division by p per hit
+of every class removes exactly the exponent of p.  One scheduler
+(_scheduler) lifts each prime and places these divisions: a modulus
+below SEGMENT becomes one strided slice division per segment, and a
+larger one, which hits a segment at most once, waits in the bucket of
+the segment where it next hits (Oliveira e Silva, Herzog and Pardi,
+Math. Comp. 83, 2014).  Each kernel sieves to the limit past which what
+is left of a term is 1 or one prime: slice_range to
 L = isqrt((hi - 1)^2 + |b|) + 1, a first-hit scan (_first_hit_setup) to
 T = isqrt(z^2 + |b|) + 1, z = min(isqrt(|b| // 3), x), meeting every
 larger prime as the leftover of its least root.
@@ -127,16 +125,50 @@ def sieve_range(spec: SequenceSpec, lo: int, hi: int) -> Iterator[TermFactorizat
 
 
 def _hensel_levels(p: int, r: int, b: int, top: int) -> list:
-    """((p^k, r_k), (p^k, p^k - r_k)) for every p^k <= top, ascending in p^k.
+    """The classes (m, c), 1 <= c <= m, of the n with p^k | n^2 + b, least first.
 
-    p is an odd prime not dividing b, p <= top, and r a root of n^2 + b
-    mod p; r_k is the root mod p^k that reduces to r mod p.  The
-    derivative 2r is a unit mod p, so by Hensel's lemma each root mod p^k
-    lifts to exactly one root mod p^(k+1), r_k - (r_k^2 + b) / (2r) with
-    the inverse taken mod p, and the roots mod p^k are r_k, p^k - r_k.
-    p = 2 and the p dividing b are not lifted: their roots mod p^k can
-    multiply (b = 2^30 has 2^15 roots mod 2^30).
+    p is a prime and r the smaller root of n^2 + b mod p (p = 2 and p | b
+    ignore it).  For each p^k <= top, one or two classes n == c (mod m),
+    m | p^k, hold exactly the n with p^k | n^2 + b (exact classes of a
+    level past top may follow), so the classes holding an n with
+    |n^2 + b| <= top number the exponent of p there.  levels[0][1] is the
+    least positive root.
+
+    * An odd p not dividing b, by Hensel's lemma: 2r is a unit mod p, so
+      each root r_k mod p^k lifts to the one root r_k - (r_k^2 + b)/(2r)
+      mod p^(k+1), the inverse taken mod p; the classes are (p^k, r_k)
+      and (p^k, p^k - r_k).
+    * p | b: p | n^2 + b exactly when p | n, (p, p), and p^2 | n^2 + b
+      then only if p^2 | b.  Then n^2 + b = p^2 ((n/p)^2 + b/p^2): (p, p)
+      again, and (p m, p c) for each class (m, c) of b/p^2 at top // p^2,
+      none when -b/p^2 is not a square mod p.
+    * p = 2, b odd: odd n, (2, 1), and n^2 == 1 (mod 8), so (2, 1) again
+      when b == 3 (mod 4).  When b == 7 (mod 8), the n with 2^k | n^2 + b,
+      k >= 3, are +-s mod 2^(k-1) for a root s of -b mod 2^k, which lifts
+      to s + 2^(k-1) mod 2^(k+1) when s itself does not.  The roots mod
+      p^k can multiply (b = 2^30 has 2^15 mod 2^30); the classes do not.
     """
+    if b % p == 0:
+        if b % (p * p):
+            return [(p, p)]
+        b //= p * p
+        levels = [(p, p), (p, p)]
+        roots = arith._roots_mod_p(-b, p)
+        if roots:
+            levels += [(p * m, p * c) for m, c in _hensel_levels(p, roots[0], b, top // (p * p))]
+        return levels
+    if p == 2:
+        levels = [(2, 1)]
+        if b % 4 == 3:
+            levels.append((2, 1))
+        if b % 8 == 7:
+            s, h, pk = 1, 4, 8  # s^2 == -b (mod pk), h = pk / 2
+            while pk <= top:
+                levels += ((h, s), (h, h - s))
+                if (s * s + b) % (2 * pk):
+                    s += h
+                h, pk = pk, 2 * pk
+        return levels
     levels = [(p, r), (p, p - r)]
     pk = p * p
     if pk <= top:
@@ -215,44 +247,6 @@ def _scheduler(b: int, start: int, end: int) -> tuple:
     return add, divide
 
 
-def _divide_fallback(rem: list, lo: int, fallback: dict, exps: dict) -> None:
-    """Divide each fallback prime out of its hits in rem, the segment at lo.
-
-    fallback maps p to its one root r mod p.  p divides every value at
-    n == r, so each hit is divided by p once and then in a loop until p
-    no longer divides it; the number of divisions, when there are any,
-    is added to exps[p].
-    """
-    length = len(rem)
-    for p, r in fallback.items():
-        hits = range((r - lo) % p, length, p)
-        e = len(hits)
-        for i in hits:
-            v = rem[i] // p  # >= 1, since -b is not a square
-            while v % p == 0:
-                v //= p
-                e += 1
-            rem[i] = v
-        if e:
-            exps[p] = exps.get(p, 0) + e
-
-
-def _strip_fallback(rem: list, lo: int, fallback: dict) -> None:
-    """_divide_fallback without its exponent count, for the scans that need none.
-
-    The count costs one addition per extra division, per hit and not
-    once per prime per segment; at b = -73600 it made a 2^16 segment
-    10-30% slower.
-    """
-    length = len(rem)
-    for p, r in fallback.items():
-        for i in range((r - lo) % p, length, p):
-            v = rem[i] // p  # p divides every value at its root
-            while v % p == 0:
-                v //= p
-            rem[i] = v
-
-
 def slice_range(spec: SequenceSpec, lo: int, hi: int) -> Iterator[list]:
     """Stream the primes >= hi of each |n^2 + b|, n in [lo, hi), in lists, ascending.
 
@@ -264,52 +258,40 @@ def slice_range(spec: SequenceSpec, lo: int, hi: int) -> Iterator[list]:
     _check_cap(hi)
     b = spec.b
     add, divide = _scheduler(b, lo, hi)
-    fallback, first = {}, []
+    first = []
     for p, roots in sieve_primes(spec, arith.isqrt((hi - 1) ** 2 + abs(b)) + 1):
-        if p == 2 or b % p == 0:
-            fallback[p] = roots[0]
-        else:
-            add(p, roots[0], lo)
-            if p >= hi:
-                first += [p for r in roots if lo <= r < hi]
+        add(p, roots[0], lo)
+        if p >= hi:
+            first += [p for r in roots if lo <= r < hi]
     yield first
     for slo in range(lo, hi, SEGMENT):
         rem = _values(b, slo, min(slo + SEGMENT, hi))
         divide(rem, slo)
-        _strip_fallback(rem, slo, fallback)
         yield [v for v in rem if v > 1]
 
 
 def _first_hit_setup(spec: SequenceSpec, x: int) -> tuple:
-    """What a first-hit scan of n = 1..x starts from: (fallback, table, add, divide).
+    """What a first-hit scan of n = 1..x starts from: (table, add, divide).
 
-    x >= HI_CAP is refused first.  One sieve_primes list runs to
-    T = isqrt(z^2 + |b|) + 1, z = min(isqrt(|b| // 3), x).  fallback maps
-    its 2 and primes of b to their root mod p, for the per-hit loop
-    (_divide_fallback or _strip_fallback), and so does the one prime
-    q <= x they may leave of |b| (T^2 > |b|), with the root 0.  table lists
-    (p, levels) for every other p: its Hensel levels, least root first,
+    x >= HI_CAP is refused first.  table lists (p, levels) for every
+    prime p of one sieve_primes list up to T = isqrt(z^2 + |b|) + 1,
+    z = min(isqrt(|b| // 3), x): its Hensel levels, least class first,
     registered from n = 1 with the scheduler (add, divide) of [1, x].
 
-    Once the scheduler and the fallback loop have divided, the leftover
-    of |n^2 + b| at every n <= x is 1 or one prime q, whose least root is
-    n: for n <= z because q > T and T^2 > |n^2 + b|, and for n > z because
-    q > 2n and |n^2 + b| < 4n^2.  The scan registers q from n + 1 when its
-    other root q - n is at most x; otherwise q divides no later term.  So
-    no scan factors anything.
+    Once the scheduler has divided, the leftover of |n^2 + b| at every
+    n <= x is 1 or one prime q, whose least root is n: for n <= z
+    because q > T and T^2 > |n^2 + b|, and for n > z because q > 2n and
+    |n^2 + b| < 4n^2.  That holds for the one prime q > T that the table
+    may leave of |b| too: its least root is n = q, and |q^2 + b| / q is
+    below 2q, so no other prime above 2q is left there.  The scan
+    registers q from n + 1 when its other root q - n (0 for the q of |b|)
+    is at most x; otherwise q divides no later term.  So no scan factors
+    anything.
     """
     _check_cap(x + 1)
     b = spec.b
     z = min(arith.isqrt(abs(b) // 3), x)
     add, divide = _scheduler(b, 1, x + 1)
-    fallback, table, m = {}, [], abs(b)
-    for p, roots in sieve_primes(spec, arith.isqrt(z * z + abs(b)) + 1):
-        if p == 2 or b % p == 0:
-            fallback[p] = roots[0]
-            while m % p == 0:
-                m //= p
-        else:
-            table.append((p, add(p, roots[0], 1)))
-    if 1 < m <= x:
-        fallback[m] = 0
-    return fallback, table, add, divide
+    table = [(p, add(p, roots[0], 1))
+             for p, roots in sieve_primes(spec, arith.isqrt(z * z + abs(b)) + 1)]
+    return table, add, divide

@@ -16,8 +16,7 @@ whose least root it is.  One loop over the leftovers files each q: a q
 whose other root q - n is at most x is registered from n + 1 and joins
 S with its exponent, the hits of its Hensel levels in [n, x]; any other
 q divides no other term and joins S' (q >= 2x) or S with exponent 1.
-A table prime joins S or S' with the hits of its levels as exponent,
-and 2 and the primes of b are counted division by division.
+A table prime joins S or S' with the hits of its levels as exponent.
 
 nx_histogram concatenates what sieve.slice_range yields over [x, 2x),
 sieved to L = isqrt((2x - 1)^2 + |b|) + 1 (2x once |b| < 4x - 1): the
@@ -76,7 +75,7 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
     if K == math.inf:
         raise PreconditionViolatedError("K must be finite")
     b, size, bound = spec.b, sieve.SEGMENT, 2 * x
-    fallback, table, add, divide = sieve._first_hit_setup(spec, x)
+    table, add, divide = sieve._first_hit_setup(spec, x)
 
     # A prime p >= 2x divides at most one term with n <= x, since two such
     # terms would need n1 + n2 = p.  So the S' primes need no merging: a
@@ -87,9 +86,9 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
     exps: Dict[int, int] = {}
     big: Dict[int, int] = {}
     # The exponent of a prime in prod |P_n| over [n0, x] is the number of
-    # hits of its levels (p^k, r) there, every r >= n0: (x - r) // p^k + 1.
+    # hits of its classes (m, r) there, n0 <= r <= m: (x - r) // m + 1.
     for p, levels in table:
-        e = sum((x - r) // pk + 1 for pk, r in levels)
+        e = sum((x - r) // m + 1 for m, r in levels)
         if e:
             (big if p >= bound else exps)[p] = e
 
@@ -99,13 +98,12 @@ def chebyshev_report(spec: SequenceSpec, x: int, K: float = 4.0) -> ChebyshevRep
             vals = sieve._values(b, lo, min(lo + size, x + 1))
             rem = vals[:]
             divide(rem, lo)
-            sieve._divide_fallback(rem, lo, fallback, exps)
             for n, v in enumerate(rem, lo):
-                if v > 1:  # the one prime new at n outside table and fallback
+                if v > 1:  # the one prime new at n outside the table
                     if v - n <= x:  # it recurs at v - n, and v < 2x
-                        e = 0  # its hits in [n, x]; each level's root is >= n
-                        for pk, r in add(v, n, n + 1):
-                            e += (x - r) // pk + 1
+                        e = 0  # its hits in [n, x]; each class's root is >= n
+                        for m, r in add(v, n, n + 1):
+                            e += (x - r) // m + 1
                         exps[v] = e
                     elif v >= bound:
                         sprime.append(v)

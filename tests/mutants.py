@@ -28,6 +28,8 @@ Equivalent mutants, left out because they change no output:
   x^2 = a t with t != 1, so _roots_mod_p's r^2 == a check rejects it.
 - `z = 53` -> any start from 48 in arith._non_residue: past the table
   every odd prime up to 47 is a residue, so 48 to 52 are too.
+- `top // (p * p)` -> `top // p` in sieve._hensel_levels: the classes
+  are exact, so a level past top has no hit in range.
 """
 
 import os
@@ -77,29 +79,27 @@ MUTANTS = [  # (file, exact old text, new text, the test that must fail)
     (PRIMITIVE, "if 1 < v <= n + x:", "if 1 < v < n + x:", CRITERION_1),
     (PRIMITIVE, "if 1 < v <= n + x:", "if 1 < v <= x:", CRITERION_1),
     (STATS, "if v - n <= x:", "if v - n < x:", NAIVE),
-    # what the table primes of b leave of |b| is one prime q with its root
-    # 0, in range from x = q on (b = -75001 = -179 * 419, T = 317)
-    (SIEVE, "if 1 < m <= x:", "if 1 < m < x:", SWEEP),
-    (SIEVE, "fallback[m] = 0", "pass", SWEEP),
     # p^2 | P_n left undivided past n = z
     (SIEVE, "levels = _hensel_levels(p, r, b, top)",
      "levels = _hensel_levels(p, r, b, top)[:2]", CRITERION_1),
-    # a table prime registered from n = 2 is left undivided at n = 1; the
-    # leftover re-registers it, and a later value can be divided to 0, on
-    # which the fallback loop spins
-    (SIEVE, "table.append((p, add(p, roots[0], 1)))",
-     "table.append((p, add(p, roots[0], 2)))", SWEEP),
+    # a table prime registered from n = 2 is left undivided at n = 1, where
+    # the leftover registers it again: its later hits are divided twice
+    (SIEVE, "table = [(p, add(p, roots[0], 1))", "table = [(p, add(p, roots[0], 2))", SWEEP),
     # 2 and the primes of b are new at their least root; criterion 1
     # skips n <= |b|, where those roots lie, so only the sweep sees it
     (PRIMITIVE, "rem[n - lo] *= p", "pass", SWEEP),
-    # p | b treated as a lifted prime: its roots mod p^k multiply
-    (SIEVE, "if p == 2 or b % p == 0:\n            fallback[p] = roots[0]\n        else",
-     "if p == 2:\n            fallback[p] = roots[0]\n        else", CRITERION_10),
-    (SIEVE, "if p == 2 or b % p == 0:\n            fallback[p] = roots[0]\n            while",
-     "if p == 2:\n            fallback[p] = roots[0]\n            while", SWEEP),
+    # the classes of 2 and of the primes of b: every p | b taken for a
+    # p^2 | b, the second class of 2 at the wrong b mod 4, the 2-adic lift
+    # at the wrong b mod 8 or by the wrong step, and the classes of b/p^2
+    # left unscaled
+    (SIEVE, "if b % (p * p):", "if b % p:", SWEEP),
+    (SIEVE, "b % 4 == 3", "b % 4 == 1", SWEEP),
+    (SIEVE, "b % 8 == 7", "b % 8 == 3", SWEEP),
+    (SIEVE, "s += h", "s += pk", SWEEP),
+    (SIEVE, "(p * m, p * c)", "(p * m, c)", SWEEP),
     (SIEVE, "r = (r - (r * r + b) * u) % pk", "r = (r + (r * r + b) * u) % pk", CRITERION_1),
     # a leftover prime's hits in [n, x] miss its least root n
-    (STATS, "e += (x - r) // pk + 1", "e += (x - r) // pk", NAIVE),
+    (STATS, "e += (x - r) // m + 1", "e += (x - r) // m", NAIVE),
     # nx's primes registered from the second n of its range
     (SIEVE, "add(p, roots[0], lo)", "add(p, roots[0], lo + 1)", CRITERION_10),
     # nx's table primes >= 2x listed at their roots past the range too

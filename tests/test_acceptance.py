@@ -128,7 +128,7 @@ def test_criterion_3_rho_is_the_prime_count_of_Q_x(rho_1e6, cheb):
     # rho_b(x) + E_b = s + s', with E_b the new primes beyond the first at
     # each n.  rho comes from the first-hit kernel, s + s' from chebyshev's
     # first-hit scan: 704537 = 74417 + 630120 at x = 10^6.
-    e_1 = 0  # b = 1 has z = 0, and P_1 = 2 at the one fallback root
+    e_1 = 0  # b = 1 has z = 0, and P_1 = 2 is new at its least root n = 1
     rep = cheb[10 ** 6]
     assert rho_1e6[0].checkpoints[-1][1] + e_1 == rep.s + rep.s_prime == RHO_1E6
     # s alone against Euler's criterion over a schoolbook sieve to 2x

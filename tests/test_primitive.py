@@ -176,7 +176,7 @@ def test_kernel_matches_oracle_sweep(monkeypatch):
     # At b = -75001 = -179 * 419 the root table runs to T = 317 for x >= 158
     # (z = 158 < x from 159 on) and to T = isqrt(x^2 + 75001) + 1 below, so
     # at x = 100 it holds primes above 2x; 419 > T is what the table primes
-    # of b leave of |b|, a fallback prime from x = 419 on.
+    # of b leave of |b|, the whole leftover at its least root n = 419.
     lengths = (1, 37, 97, sieve.SEGMENT)
     pool = [(b, (1, 2, 7, 50, 700)) for b in _admissible(-150, 150)]
     for b, xs in pool + [(-75001, (100, 158, 159, 400, 418, 419, 420))]:

@@ -10,8 +10,10 @@ from quadfactor.errors import CapExceededError, OutOfDomainError
 from conftest import naive_factorize, naive_is_prime, naive_p_plus, reconstruct
 
 B_POOL = (1, 2, 3, 5, 7, -2, -3)
-# p = 2, primes dividing b, and p^2 | b (12, -72, 45, 2^10 * 3)
-LIFT_POOL = (1, -2, 12, -72, 45, 2 ** 10 * 3, -1155)
+# p = 2, primes dividing b, p^2 | b (12, -72, 45, 2^10 * 3), the 2-adic
+# lift at b == 7 (mod 8) and scaled by 2 (7, 28 = 4 * 7), and 3^4 | b
+# (-567 = -3^4 * 7)
+LIFT_POOL = (1, -2, 12, -72, 45, 2 ** 10 * 3, -1155, 7, 28, -567)
 
 
 def _run(b, lo, hi):
@@ -176,90 +178,45 @@ def test_csv_dump_format(capsys):
         assert int(sign) * v == int(n) ** 2 - 3, n
 
 
-def _roots_mod_powers(b, p, top):
-    """{p^k: {r < p^k : p^k | r^2 + b}} for every p^k <= top, by exhaustive search.
-
-    Level k tries the p candidates r + j p^(k-1) of each root r of level
-    k - 1; they contain every root mod p^k, since p^k | m implies
-    p^(k-1) | m.
-    """
-    out = {}
-    roots, pk = [0], 1
-    while pk * p <= top:
-        nxt = pk * p
-        roots = [s for r in roots for s in range(r, nxt, pk) if (s * s + b) % nxt == 0]
-        out[nxt] = set(roots)
-        pk = nxt
-    return out
-
-
-def _fallback_hits(b, p, root, top):
-    """{p^k: residues mod p^k of the n whose value the fallback divides by p^k}.
-
-    Runs the fallback divider of the slice kernel with p as its only
-    prime over n in [1, P], P the largest power p^k <= top, which covers
-    every residue mod p^k.
-    """
-    big = p
-    while big * p <= top:
-        big *= p
-    hits = {}
-    for lo in range(1, big + 1, 1 << 16):
-        hi = min(lo + (1 << 16), big + 1)
-        vals = [abs(n * n + b) for n in range(lo, hi)]
-        rem, exps = vals[:], {}
-        sieve._divide_fallback(rem, lo, {p: root}, exps)
-        removed = 0
-        for i in range(hi - lo):
-            q, c = divmod(vals[i], rem[i])
-            assert c == 0
-            pk = p
-            while q % p == 0:
-                q //= p
-                removed += 1
-                if pk <= big:
-                    hits.setdefault(pk, set()).add((lo + i) % pk)
-                pk *= p
-            assert q == 1, (b, p, lo + i)  # only p was divided out
-        assert exps.get(p, 0) == removed
-    return hits
+def _exponent(p, m):
+    """The exponent of the prime p in m != 0, by trial division."""
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    return e
 
 
 def _lifted_roots(spec, limit, top):
-    """(lifted, fallback) over the primes <= limit <= top.
-
-    lifted maps each odd p not dividing b to its Hensel levels up to top;
-    fallback maps p = 2 and the p dividing b to their root mod p.
-    """
-    b = spec.b
-    lifted, fallback = {}, {}
-    for p, roots in sieve.sieve_primes(spec, limit):
-        if p == 2 or b % p == 0:
-            fallback[p] = roots[0]
-        else:
-            lifted[p] = sieve._hensel_levels(p, roots[0], b, top)
-    return lifted, fallback
+    """{p: its Hensel levels up to top} over the primes p <= limit <= top."""
+    return {p: sieve._hensel_levels(p, roots[0], spec.b, top)
+            for p, roots in sieve.sieve_primes(spec, limit)}
 
 
-def test_lifted_roots_and_fallback_hits_match_brute_force():
-    top = 10 ** 6
+def test_hensel_levels_count_the_exponent_of_every_prime():
+    # Every prime up to 50, 2 and the primes of b included, over n in
+    # [1, P], P the largest p^k <= top, which covers every residue mod p^k:
+    # the classes holding n number v_p(n^2 + b).  Only the K levels
+    # p^k <= top are promised, so past v_p = K the count lies in [K, v_p].
+    top = 10 ** 5
     small = [p for p in range(2, 51) if naive_is_prime(p)]
     for b in LIFT_POOL:
-        spec = arith.validate_b(b)
-        table, fall = _lifted_roots(spec, 50, top)
-        assert set(fall) == {p for p in small if p == 2 or b % p == 0}, b
-        for p in small:
-            want = _roots_mod_powers(b, p, top)
-            if p in table:
-                got = {}
-                for pk, r in table[p]:
-                    got.setdefault(pk, set()).add(r)
-                assert got == want, (b, p)
-            elif p in fall:
-                want = {pk: rs for pk, rs in want.items() if rs}
-                assert _fallback_hits(b, p, fall[p], top) == want, (b, p)
-            else:
-                assert not any(want.values()), (b, p)
+        table = _lifted_roots(arith.validate_b(b), 50, top)
+        assert set(table) == {p for p in small
+                              if any((n * n + b) % p == 0 for n in range(p))}, b
+        for p, levels in table.items():
+            assert all(1 <= c <= m for m, c in levels), (b, p)
+            least = min(n for n in range(1, p + 1) if (n * n + b) % p == 0)
+            assert levels[0][1] == least, (b, p)
+            big, k = p, 1
+            while big * p <= top:
+                big, k = big * p, k + 1
+            count = [0] * (big + 1)
+            for m, c in levels:
+                count[c::m] = [v + 1 for v in count[c::m]]
+            for n in range(1, big + 1):
+                e = _exponent(p, n * n + b)
+                assert min(e, k) <= count[n] <= e, (b, p, n)
 
 
 def _without(b, n, primes):
@@ -281,10 +238,10 @@ def test_scheduler_divides_exactly_the_lifted_primes(monkeypatch, seg):
     for b in LIFT_POOL:
         spec = arith.validate_b(b)
         for start, end, mid in ((40, 300, False), (1, 300, True)):
-            lifted = _lifted_roots(spec, 40, (end - 1) ** 2 + abs(b))[0]
+            lifted = _lifted_roots(spec, 40, (end - 1) ** 2 + abs(b))
             least = {}
             for p, levels in lifted.items():
-                least.setdefault(min(levels[0][1], levels[1][1]), []).append(p)
+                least.setdefault(levels[0][1], []).append(p)
             add, divide = sieve._scheduler(b, start, end)
             if not mid:
                 for p, levels in lifted.items():

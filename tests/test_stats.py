@@ -20,7 +20,9 @@ from conftest import (li, naive_chowla_todd_count, naive_factorize, naive_new_pr
 # 999999 at x <= 156; all four have T < 2x at 600.  At b = 24, x = 2 the
 # table prime 5 of 25 = 5^2 puts an exponent 2 into S'.  At b = 1281,
 # z = 20 and 20^2 + b = 41^2 with 41 < T = 42: the table must reach 41.
-ORACLE_POOL = (1, -2, 2, 12, -72, 15, 24, -73600, 504, 2204, 999999, 1281)
+# At b = -567 = -3^4 * 7, 3^4 | b: the exponent of 3 comes from the
+# classes of 3^k scaled twice by 3.
+ORACLE_POOL = (1, -2, 2, 12, -72, 15, 24, -73600, 504, 2204, 999999, 1281, -567)
 # Chowla-Todd and Mertens marks; the prime sieve runs in segments of 2^18,
 # so the last three straddle a segment edge
 EDGE_MARKS = [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17, 2 ** 18 - 1, 2 ** 18, 2 ** 18 + 1]
@@ -156,8 +158,9 @@ def test_chebyshev_and_nx_match_naive_factorization(monkeypatch):
     # both sides are math.fsum of the same float terms, so they are equal.
     # At b = -75001 = -179 * 419 chebyshev's root table runs to T = 317 once
     # x >= 158 (z = 158, and z < x from 159 on), and holds primes >= 2x at
-    # x = 100; 419 > T is a fallback prime from x = 419 on.  At |b| near
-    # 2^31 nx's table primes above 2x have roots on both sides of 2x.
+    # x = 100; 419 > T is the leftover at its least root from x = 419 on.
+    # At |b| near 2^31 nx's table primes above 2x have roots on both sides
+    # of 2x.
     lengths = (97, sieve.SEGMENT)
     pool = [(b, (2, 5, 77, 156, 600)) for b in ORACLE_POOL]
     for b, xs in pool + [(-75001, (100, 158, 159, 400, 418, 419, 420)),
